@@ -23,7 +23,7 @@ const byteSlack = 512
 // than tol (fraction), allocs/op grew by more than atol (fraction), or
 // bytes/op grew beyond both btol (fraction) and the absolute byteSlack
 // floor. The allocation gates are narrow bands rather than zero
-// tolerance because the run-arena pooling makes a whole-simulation
+// tolerance because the cluster pooling makes a whole-simulation
 // benchmark's allocs/op weakly machine-dependent: per-op cost is
 // per-run residual plus amortized pool build-up divided by the
 // iteration count testing.Benchmark picks, and a GC can drain the

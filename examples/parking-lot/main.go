@@ -1,6 +1,6 @@
 // parking-lot: build a three-bottleneck parking-lot chain directly on
-// the topology API — nodes, directed links, per-flow static source
-// routes — and race one long TFRC flow and one long TCP flow across all
+// the network engine's API — nodes, directed links, per-flow static
+// source routes — and race one long TFRC flow and one long TCP flow across all
 // three congested hops against short TCP flows crossing one hop each.
 //
 // This is the multi-bottleneck setting the paper's dumbbell experiments
@@ -15,9 +15,9 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/formula"
 	"repro/internal/netsim"
+	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
@@ -33,8 +33,7 @@ func main() {
 		measured = 300.0
 	)
 
-	var sched des.Scheduler
-	net := topology.New(&sched)
+	net := shard.New()
 
 	// Chain of hops+1 nodes, one bottleneck link per hop.
 	nodes := make([]topology.NodeID, hops+1)
@@ -47,14 +46,18 @@ func main() {
 			netsim.NewDropTail(buffer))
 	}
 	net.SetReverseJitter(0.2, 7)
+	// One domain: every endpoint shares the partition's one scheduler.
+	net.Partition(1)
+	dom := net.Shard(0)
+	sched := dom.Sched()
 
 	// Long flows: end to end over every hop.
 	flow := 0
 	net.SetRoute(flow, route...)
-	tfrcSnd, _ := tfrc.NewFlow(&sched, net, flow, tfrc.DefaultConfig(), 0.005, 0.025)
+	tfrcSnd, _ := tfrc.NewFlow(sched, dom, flow, tfrc.DefaultConfig(), 0.005, 0.025)
 	flow++
 	net.SetRoute(flow, route...)
-	tcpSnd, _ := tcp.NewFlow(&sched, net, flow, tcp.DefaultConfig(), 0.005, 0.025)
+	tcpSnd, _ := tcp.NewFlow(sched, dom, flow, tcp.DefaultConfig(), 0.005, 0.025)
 	flow++
 
 	// Crossing flows: two short TCP flows entering and leaving at each
@@ -63,7 +66,7 @@ func main() {
 	for h := 0; h < hops; h++ {
 		for i := 0; i < 2; i++ {
 			net.SetRoute(flow, route[h])
-			snd, _ := tcp.NewFlow(&sched, net, flow, tcp.DefaultConfig(), 0, 0.02)
+			snd, _ := tcp.NewFlow(sched, dom, flow, tcp.DefaultConfig(), 0, 0.02)
 			cross = append(cross, snd)
 			sched.At(0.1*float64(flow), snd.Start)
 			flow++
@@ -72,13 +75,13 @@ func main() {
 	tfrcSnd.Start()
 	sched.At(0.21, tcpSnd.Start)
 
-	sched.RunUntil(warmup)
+	net.Run(warmup)
 	tfrcSnd.ResetStats()
 	tcpSnd.ResetStats()
 	for _, s := range cross {
 		s.ResetStats()
 	}
-	sched.RunUntil(warmup + measured)
+	net.Run(warmup + measured)
 
 	tf, tc := tfrcSnd.Stats(), tcpSnd.Stats()
 	fmt.Printf("parking lot: %d × 10 Mb/s bottlenecks, long TFRC + long TCP vs %d crossing TCP\n\n",
@@ -101,7 +104,7 @@ func main() {
 		fmt.Println("(Claim 1 predicts <= 1 up to estimator noise — now checkable beyond the dumbbell)")
 	}
 
-	// The topology accounts for every freelist packet even mid-flight.
+	// The network accounts for every freelist packet even mid-flight.
 	if err := net.CheckLeaks(); err != nil {
 		panic(err)
 	}

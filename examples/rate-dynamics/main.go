@@ -11,22 +11,23 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/des"
 	"repro/internal/netsim"
+	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
 func main() {
-	var sched des.Scheduler
-	link := netsim.NewLink(&sched, 1.25e6, 0.01, netsim.NewDropTail(80))
-	net := topology.NewDumbbell(&sched, link)
-	net.SetReverseJitter(0.2, 7)
+	c := shard.New()
+	link := c.Dumbbell(1.25e6, 0.01, netsim.NewDropTail(80))
+	c.SetReverseJitter(0.2, 7)
+	c.Partition(1)
+	net := c.Shard(0)
+	sched := net.Sched()
 
-	tsnd, _ := tfrc.NewFlow(&sched, net, 1, tfrc.DefaultConfig(), 0, 0.03)
-	csnd, _ := tcp.NewFlow(&sched, net, 2, tcp.DefaultConfig(), 0, 0.03)
+	tsnd, _ := tfrc.NewFlow(sched, net, 1, tfrc.DefaultConfig(), 0, 0.03)
+	csnd, _ := tcp.NewFlow(sched, net, 2, tcp.DefaultConfig(), 0, 0.03)
 	tsnd.Start()
 	sched.At(0.5, csnd.Start)
 
@@ -41,13 +42,13 @@ func main() {
 		now := sched.Now()
 		tfrcRate.Add(now, tsnd.Rate()/1000) // 1000-byte packets
 		tcpWnd.Add(now, csnd.Cwnd())
-		queueLen.Add(now, float64(link.Queue().Len()))
+		queueLen.Add(now, float64(c.Link(link).Queue().Len()))
 		if now < horizon {
 			sched.After(0.1, sample)
 		}
 	}
 	sched.After(0.1, sample)
-	sched.RunUntil(horizon)
+	c.Run(horizon)
 
 	if err := rec.WriteTSV(os.Stdout, 0, horizon, 1200); err != nil {
 		fmt.Fprintf(os.Stderr, "rate-dynamics: %v\n", err)

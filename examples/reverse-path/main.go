@@ -17,12 +17,11 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/formula"
 	"repro/internal/netsim"
+	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
-	"repro/internal/topology"
 )
 
 const (
@@ -35,8 +34,7 @@ const (
 // runOnce builds the two-node graph, optionally narrowing and loading
 // the reverse path, and returns the measured stats.
 func runOnce(congested bool) (tfrc.Stats, tcp.Stats, float64, float64) {
-	var sched des.Scheduler
-	net := topology.New(&sched)
+	net := shard.New()
 	src := net.AddNode("src")
 	dst := net.AddNode("dst")
 	fwd := net.AddLink(src, dst, capacity, 0.01, netsim.NewDropTail(64))
@@ -49,9 +47,13 @@ func runOnce(congested bool) (tfrc.Stats, tcp.Stats, float64, float64) {
 	net.SetDefaultRoute(fwd)
 	net.SetDefaultReverseRoute(rev)
 	net.SetReverseJitter(0.2, 7)
+	// One domain: every endpoint shares the partition's one scheduler.
+	net.Partition(1)
+	dom := net.Shard(0)
+	sched := dom.Sched()
 
-	tfrcSnd, _ := tfrc.NewFlow(&sched, net, 0, tfrc.DefaultConfig(), 0.005, 0.02)
-	tcpSnd, _ := tcp.NewFlow(&sched, net, 1, tcp.DefaultConfig(), 0.005, 0.02)
+	tfrcSnd, _ := tfrc.NewFlow(sched, dom, 0, tfrc.DefaultConfig(), 0.005, 0.02)
+	tcpSnd, _ := tcp.NewFlow(sched, dom, 1, tcp.DefaultConfig(), 0.005, 0.02)
 	tfrcSnd.Start()
 	sched.At(0.21, tcpSnd.Start)
 
@@ -62,15 +64,15 @@ func runOnce(congested bool) (tfrc.Stats, tcp.Stats, float64, float64) {
 		const meanBurst, pktSize = 20.0, 1000.0
 		target := 0.9 * revCap
 		meanOff := meanBurst*pktSize/target - meanBurst*pktSize/revCap
-		ct := netsim.NewCrossTraffic(&sched, net, 2, revCap, meanBurst, 1.5,
+		ct := netsim.NewCrossTraffic(sched, dom, 2, revCap, meanBurst, 1.5,
 			meanOff, int(pktSize), 11)
 		sched.At(0.4, ct.Start)
 	}
 
-	sched.RunUntil(warmup)
+	net.Run(warmup)
 	tfrcSnd.ResetStats()
 	tcpSnd.ResetStats()
-	sched.RunUntil(warmup + measured)
+	net.Run(warmup + measured)
 
 	q := net.Link(rev).Queue().(*netsim.DropTail)
 	offered := float64(q.Drops + net.Link(rev).Forwarded)

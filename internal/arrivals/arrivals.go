@@ -1,12 +1,12 @@
 // Package arrivals is the run-time flow lifecycle engine: session
 // arrival processes (Poisson or heavy-tailed Weibull interarrivals)
 // that attach finite TFRC, TCP or CBR transfers to a running simulation
-// and — on the serial executor — detach and recycle them once they go
-// quiet, so steady-state churn is allocation-free.
+// and — on a one-domain partition — detach and recycle them once they
+// go quiet, so steady-state churn is allocation-free.
 //
-// The engine is written against the Host seam so the same arrival
-// classes run on the serial engine and the space-parallel sharded one.
-// Determinism is preserved by construction:
+// The engine runs against a shard.Cluster at any shard count; with
+// several shards the cluster has no Lifecycle and churn flows simply
+// stay attached. Determinism is preserved by construction:
 //
 //   - each class's arrivals are one ordinary DES event chain on the
 //     scheduler of the class route's first node (the sender shard), so
@@ -15,9 +15,9 @@
 //   - per-flow seeds derive from the class seed and the arrival index
 //     (FlowSeed), never from a shared draw sequence;
 //   - endpoint recycling resets a pair to exactly its freshly-built
-//     state (protocol Renew contracts), so a pooled attach on the serial
-//     engine and a fresh attach on the sharded one produce the same
-//     trajectory;
+//     state (protocol Renew contracts), so a pooled attach on a
+//     one-domain partition and a fresh attach on a sharded one produce
+//     the same trajectory;
 //   - detaching happens only for provably quiet flows — sender done with
 //     no live timers, receiver idle, zero packets of the flow inside the
 //     network — and mutates no scheduler or ledger state, so reclamation
@@ -38,6 +38,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/palm"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
@@ -222,7 +223,7 @@ type Class struct {
 	// path of RevDelay seconds.
 	FwdHops, RevHops []topology.LinkID
 	// FwdExtra is the one-way delay past the last forward hop; RevDelay
-	// the residual reverse delay (see topology.AttachFlow).
+	// the residual reverse delay (see shard.Cluster.AttachFlow).
 	FwdExtra, RevDelay float64
 	// TFRC is the base config for TFRC classes. TotalPackets is set per
 	// arrival from the size draw and Seed per flow from FlowSeed;
@@ -252,34 +253,6 @@ func FlowSeed(classSeed uint64, i int) uint64 {
 	return x
 }
 
-// Host is the executor seam the engine runs against. The serial and
-// sharded executors of the experiments package both satisfy it.
-type Host interface {
-	// RouteEnv resolves the scheduler/network pairs the two endpoints of
-	// a flow over the route must be built on.
-	RouteEnv(fwdHops []topology.LinkID) (sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Scheduler, rcvNet netsim.Network)
-	// AttachLive registers a flow at simulation time with explicit
-	// routes; the flow id must be inside the host's reserved flow table.
-	AttachLive(flow int, sender, receiver netsim.Endpoint, fwdHops, revHops []topology.LinkID, fwdExtra, revDelay float64)
-	// Lifecycle returns the reclamation surface, or nil when the
-	// executor cannot detach flows mid-run (the sharded engine: a detach
-	// would be a cross-shard write, so churn flows simply stay attached).
-	Lifecycle() Lifecycle
-}
-
-// Lifecycle is the serial executor's detach surface: per-flow in-network
-// accounting with a quiet callback, and the detach itself.
-// topology.Network satisfies it.
-type Lifecycle interface {
-	// WatchFlows enables per-flow packet accounting for ids [lo, lo+count),
-	// invoking onQuiet each time a watched flow's count returns to zero.
-	WatchFlows(lo, count int, onQuiet func(flow int))
-	// DetachFlow removes a quiet flow and recycles its routing record.
-	DetachFlow(flow int)
-	// InFlight returns the watched flow's current in-network packet count.
-	InFlight(flow int) int
-}
-
 // ClassResult summarizes one class after a run.
 type ClassResult struct {
 	// Name echoes the class label; Proto its transport.
@@ -288,11 +261,13 @@ type ClassResult struct {
 	// Arrivals counts sessions that arrived; Completions those whose
 	// sender finished its volume before the run ended.
 	Arrivals, Completions int64
-	// Constructions counts endpoint pairs actually built — on the serial
-	// executor the pool bounds this by the peak concurrent population,
-	// on the sharded one it equals Arrivals (no reclamation).
+	// Constructions counts endpoint pairs actually built — on a
+	// one-domain partition the pool bounds this by the peak concurrent
+	// population, on a sharded one it equals Arrivals (no reclamation).
 	Constructions int64
-	// Reclaimed counts flows detached and recycled mid-run (serial only).
+	// Reclaimed counts flows detached and recycled mid-run (one-domain
+	// partitions only: the cluster's Lifecycle is nil with several
+	// shards).
 	Reclaimed int64
 	// Peak is the maximum concurrent population; ActiveAtEnd the
 	// population when the run ended.
@@ -323,7 +298,7 @@ type flowSlot struct {
 	reclaimed bool
 }
 
-// tfrcPair / tcpPair are the serial executor's recycling pools' units.
+// tfrcPair / tcpPair are the reclamation pools' units.
 type tfrcPair struct {
 	snd *tfrc.Sender
 	rcv *tfrc.Receiver
@@ -336,7 +311,7 @@ type tcpPair struct {
 // classState is one armed class: resolved environment, RNG, pools and
 // statistics. All of it is touched only from the class's sender-shard
 // event chain (arrivals, completions), except the engine-level reclaim
-// path which the serial executor runs on its single scheduler.
+// path, which only runs on a one-domain partition's single scheduler.
 type classState struct {
 	Class
 	eng       *Engine
@@ -374,22 +349,23 @@ type classState struct {
 	openCycle     bool
 }
 
-// Engine drives a set of arrival classes against one executor.
+// Engine drives a set of arrival classes against one cluster.
 type Engine struct {
-	host    Host
-	lc      Lifecycle
+	host    *shard.Cluster
+	lc      shard.Lifecycle
 	classes []*classState
 	lo      int // first churn flow id
 	count   int // total reserved churn flow ids
 	armed   bool
 }
 
-// NewEngine resolves the classes against the host, assigning each a
-// contiguous flow-id block starting at firstFlow in class order. The
-// caller must reserve the flow table — ids [0, FlowRange's lo+count) —
-// on the executor before the first Run, and declare any cross-shard
-// pure-delay reverse channels (shard.Cluster.DeclareReverseChannel).
-func NewEngine(host Host, firstFlow int, classes []Class) *Engine {
+// NewEngine resolves the classes against the partitioned cluster,
+// assigning each a contiguous flow-id block starting at firstFlow in
+// class order. The caller must reserve the flow table — ids
+// [0, FlowRange's lo+count) — on the cluster before the first Run, and
+// declare any cross-shard pure-delay reverse channels
+// (shard.Cluster.DeclareReverseChannel).
+func NewEngine(host *shard.Cluster, firstFlow int, classes []Class) *Engine {
 	if host == nil {
 		panic("arrivals: nil host")
 	}
@@ -425,7 +401,8 @@ func NewEngine(host Host, firstFlow int, classes []Class) *Engine {
 			panic("arrivals: unknown protocol")
 		}
 		cs := &classState{Class: c, eng: e, firstFlow: next}
-		cs.sndSched, cs.sndNet, cs.rcvSched, cs.rcvNet = host.RouteEnv(c.FwdHops)
+		snd, rcv := host.RouteEnv(c.FwdHops)
+		cs.sndSched, cs.sndNet, cs.rcvSched, cs.rcvNet = snd.Sched(), snd, rcv.Sched(), rcv
 		cs.random = rng.New(c.Seed)
 		cs.arriveFn = cs.arrive
 		next += c.MaxArrivals
@@ -440,7 +417,7 @@ func (e *Engine) FlowRange() (lo, count int) { return e.lo, e.count }
 
 // Arm allocates each class's slot and cycle buffers (one allocation
 // each, sized by MaxArrivals — steady-state churn allocates nothing),
-// installs the quiet watch on serial executors, and schedules every
+// installs the quiet watch on one-domain partitions, and schedules every
 // class's first arrival. Call once, before the first Run.
 func (e *Engine) Arm() {
 	if e.armed {
@@ -470,7 +447,7 @@ func (e *Engine) classOf(flow int) (*classState, int) {
 	return nil, 0
 }
 
-// onQuiet is the serial executor's zero-crossing hook: a watched flow's
+// onQuiet is the reclamation zero-crossing hook: a watched flow's
 // last in-network packet just returned to the freelist.
 func (e *Engine) onQuiet(flow int) { e.maybeReclaim(flow) }
 
@@ -564,7 +541,7 @@ func (cs *classState) arrive() {
 }
 
 // start attaches and starts the i-th transfer: a pooled endpoint pair
-// renewed in place when the serial executor has reclaimed one, a fresh
+// renewed in place when a one-domain partition has reclaimed one, a fresh
 // pair otherwise. Renew resets a pair to exactly its freshly-built
 // state, so both paths produce the same trajectory.
 func (cs *classState) start(i, flow int, size int64, now float64) {

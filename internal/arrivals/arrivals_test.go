@@ -4,44 +4,24 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
 )
 
-// serialHost adapts a plain serial topology.Network to the Host seam,
-// the way the experiments serial executor does.
-type serialHost struct {
-	sched *des.Scheduler
-	net   *topology.Network
-}
-
-func (h *serialHost) RouteEnv([]topology.LinkID) (*des.Scheduler, netsim.Network, *des.Scheduler, netsim.Network) {
-	return h.sched, h.net, h.sched, h.net
-}
-
-func (h *serialHost) AttachLive(flow int, snd, rcv netsim.Endpoint, fwd, rev []topology.LinkID, fwdExtra, revDelay float64) {
-	h.net.AttachFlowOn(flow, snd, rcv, fwd, rev, fwdExtra, revDelay)
-}
-
-func (h *serialHost) Lifecycle() Lifecycle { return h.net }
-
-// noReclaimHost is the same network without a lifecycle surface — the
-// sharded executor's shape, where churn flows are never detached.
-type noReclaimHost struct{ serialHost }
-
-func (h *noReclaimHost) Lifecycle() Lifecycle { return nil }
-
-// testNet builds a one-link serial network and returns its route.
-func testNet(sched *des.Scheduler) (*topology.Network, []topology.LinkID) {
-	net := topology.New(sched)
-	a := net.AddNode("a")
-	b := net.AddNode("b")
-	link := net.AddLink(a, b, 1.25e6, 0.01, netsim.NewDropTail(64))
-	return net, []topology.LinkID{link}
+// testNet builds a one-link network partitioned into k domains (the
+// link has a positive delay, so k = 2 splits sender from receiver) and
+// returns it with its route.
+func testNet(k int) (*shard.Cluster, []topology.LinkID) {
+	c := shard.New()
+	a := c.AddNode("a")
+	b := c.AddNode("b")
+	link := c.AddLink(a, b, 1.25e6, 0.01, netsim.NewDropTail(64))
+	c.Partition(k)
+	return c, []topology.LinkID{link}
 }
 
 func tfrcSpec(seed uint64) Spec {
@@ -59,7 +39,7 @@ func baseTFRC() tfrc.Config {
 	return cfg
 }
 
-func runEngine(t *testing.T, host Host, net *topology.Network, route []topology.LinkID, specs []Spec, end float64) (*Engine, []ClassResult) {
+func runEngine(t *testing.T, c *shard.Cluster, route []topology.LinkID, specs []Spec, end float64) (*Engine, []ClassResult) {
 	t.Helper()
 	classes := make([]Class, len(specs))
 	for i, sp := range specs {
@@ -74,18 +54,13 @@ func runEngine(t *testing.T, host Host, net *topology.Network, route []topology.
 			cl.CBRRTT = 0.06
 		}
 		classes[i] = cl
+		c.DeclareReverseChannel(cl.FwdHops, cl.RevDelay)
 	}
-	eng := NewEngine(host, 0, classes)
+	eng := NewEngine(c, 0, classes)
 	lo, count := eng.FlowRange()
-	net.ReserveFlows(lo + count)
+	c.ReserveFlows(lo + count)
 	eng.Arm()
-	sched := classes[0].FwdHops[0] // silence unused warnings pattern not needed
-	_ = sched
-	hostSched := host.(interface {
-		RouteEnv([]topology.LinkID) (*des.Scheduler, netsim.Network, *des.Scheduler, netsim.Network)
-	})
-	s, _, _, _ := hostSched.RouteEnv(route)
-	s.RunUntil(end)
+	c.Run(end)
 	return eng, eng.Results(end)
 }
 
@@ -151,9 +126,13 @@ func TestValidationPanics(t *testing.T) {
 	}{
 		{"nil host", func() { NewEngine(nil, 0, []Class{{Spec: tfrcSpec(1)}}) }},
 		{"negative first flow", func() {
-			NewEngine(&serialHost{}, -1, []Class{{Spec: tfrcSpec(1)}})
+			c, _ := testNet(1)
+			NewEngine(c, -1, []Class{{Spec: tfrcSpec(1)}})
 		}},
-		{"no classes", func() { NewEngine(&serialHost{}, 0, nil) }},
+		{"no classes", func() {
+			c, _ := testNet(1)
+			NewEngine(c, 0, nil)
+		}},
 		{"no name", func() {
 			sp := tfrcSpec(1)
 			sp.Name = ""
@@ -192,9 +171,7 @@ func TestValidationPanics(t *testing.T) {
 }
 
 func TestEngineClassValidation(t *testing.T) {
-	var sched des.Scheduler
-	net, route := testNet(&sched)
-	host := &serialHost{sched: &sched, net: net}
+	host, route := testNet(1)
 	expectPanic := func(name string, cl Class) {
 		t.Helper()
 		defer func() {
@@ -221,8 +198,8 @@ func TestProtoString(t *testing.T) {
 	}
 }
 
-// The serial engine must complete transfers, detach quiet flows and
-// recycle their endpoints: constructions bounded by the concurrency
+// A one-domain partition must complete transfers, detach quiet flows
+// and recycle their endpoints: constructions bounded by the concurrency
 // peak, far below the arrival count, with the freelist invariant intact
 // and every recycled pair provably dead (no live timers).
 func TestServeReclaimRecycle(t *testing.T) {
@@ -240,12 +217,10 @@ func TestServeReclaimRecycle(t *testing.T) {
 	}
 	for _, pc := range protos {
 		t.Run(pc.name, func(t *testing.T) {
-			var sched des.Scheduler
-			net, route := testNet(&sched)
-			host := &serialHost{sched: &sched, net: net}
+			net, route := testNet(1)
 			sp := tfrcSpec(11)
 			pc.mut(&sp)
-			eng, res := runEngine(t, host, net, route, []Spec{sp}, 40)
+			eng, res := runEngine(t, net, route, []Spec{sp}, 40)
 			r := res[0]
 			if r.Arrivals < 100 {
 				t.Fatalf("only %d arrivals", r.Arrivals)
@@ -254,7 +229,7 @@ func TestServeReclaimRecycle(t *testing.T) {
 				t.Fatal("no completions")
 			}
 			if r.Reclaimed == 0 {
-				t.Fatal("no flows reclaimed on the serial engine")
+				t.Fatal("no flows reclaimed on the one-domain partition")
 			}
 			if r.Constructions >= r.Arrivals/2 {
 				t.Fatalf("pool not reused: %d constructions for %d arrivals",
@@ -294,28 +269,26 @@ func TestServeReclaimRecycle(t *testing.T) {
 	}
 }
 
-// Recycling must be invisible: a host that never reclaims (the sharded
-// executor's shape) must produce the identical arrival/completion
-// trajectory and Palm statistics, with constructions == arrivals.
+// Recycling must be invisible: a two-shard partition, which has no
+// Lifecycle and never reclaims, must produce the identical
+// arrival/completion trajectory and Palm statistics, with
+// constructions == arrivals.
 func TestReclaimInvisible(t *testing.T) {
-	run := func(reclaim bool) []ClassResult {
-		var sched des.Scheduler
-		net, route := testNet(&sched)
-		base := serialHost{sched: &sched, net: net}
-		var host Host = &base
-		if !reclaim {
-			host = &noReclaimHost{base}
+	run := func(k int) []ClassResult {
+		net, route := testNet(k)
+		if got := net.Shards(); got != k {
+			t.Fatalf("partition has %d shards, want %d", got, k)
 		}
-		_, res := runEngine(t, host, net, route, []Spec{tfrcSpec(23)}, 40)
+		_, res := runEngine(t, net, route, []Spec{tfrcSpec(23)}, 40)
 		return res
 	}
-	with := run(true)[0]
-	without := run(false)[0]
+	with := run(1)[0]
+	without := run(2)[0]
 	if without.Reclaimed != 0 || without.Constructions != without.Arrivals {
-		t.Fatalf("no-lifecycle host reclaimed anyway: %+v", without)
+		t.Fatalf("two-shard partition reclaimed anyway: %+v", without)
 	}
 	if with.Reclaimed == 0 {
-		t.Fatal("lifecycle host never reclaimed")
+		t.Fatal("one-domain partition never reclaimed")
 	}
 	if with.Arrivals != without.Arrivals || with.Completions != without.Completions ||
 		with.Peak != without.Peak || with.ActiveAtEnd != without.ActiveAtEnd ||
@@ -330,15 +303,13 @@ func TestReclaimInvisible(t *testing.T) {
 // the time-average population, within Monte Carlo noise.
 func TestDeterminismAndPASTA(t *testing.T) {
 	run := func() ClassResult {
-		var sched des.Scheduler
-		net, route := testNet(&sched)
-		host := &serialHost{sched: &sched, net: net}
+		net, route := testNet(1)
 		// Arrivals run to the very end: a drain tail after Stop would be
 		// inside the time average but invisible to the Palm sampling, and
 		// the comparison below needs matching windows.
 		sp := tfrcSpec(31)
 		sp.Stop = 40
-		_, res := runEngine(t, host, net, route, []Spec{sp}, 40)
+		_, res := runEngine(t, net, route, []Spec{sp}, 40)
 		return res[0]
 	}
 	a, b := run(), run()
@@ -364,9 +335,7 @@ func TestDeterminismAndPASTA(t *testing.T) {
 // Start/Stop and MaxArrivals must bound the class, and multiple classes
 // must get disjoint contiguous flow blocks.
 func TestWindowsAndFlowBlocks(t *testing.T) {
-	var sched des.Scheduler
-	net, route := testNet(&sched)
-	host := &serialHost{sched: &sched, net: net}
+	net, route := testNet(1)
 	early := tfrcSpec(41)
 	early.Name = "early"
 	early.Start = 0
@@ -374,7 +343,7 @@ func TestWindowsAndFlowBlocks(t *testing.T) {
 	capped := tfrcSpec(42)
 	capped.Name = "capped"
 	capped.MaxArrivals = 7
-	eng, res := runEngine(t, host, net, route, []Spec{early, capped}, 40)
+	eng, res := runEngine(t, net, route, []Spec{early, capped}, 40)
 	lo, count := eng.FlowRange()
 	if lo != 0 || count != early.MaxArrivals+capped.MaxArrivals {
 		t.Fatalf("flow range = (%d, %d)", lo, count)
@@ -401,11 +370,9 @@ func TestWindowsAndFlowBlocks(t *testing.T) {
 }
 
 func TestArmTwicePanics(t *testing.T) {
-	var sched des.Scheduler
-	net, route := testNet(&sched)
-	host := &serialHost{sched: &sched, net: net}
+	net, route := testNet(1)
 	cl := Class{Spec: tfrcSpec(51), FwdHops: route, FwdExtra: 0.005, RevDelay: 0.025, TFRC: baseTFRC()}
-	eng := NewEngine(host, 0, []Class{cl})
+	eng := NewEngine(net, 0, []Class{cl})
 	lo, count := eng.FlowRange()
 	net.ReserveFlows(lo + count)
 	eng.Arm()

@@ -4,22 +4,36 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/formula"
 	"repro/internal/netsim"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/tcp"
-	"repro/internal/topology"
 )
 
+// dumbbell is a one-domain network around one bottleneck link: the
+// embedded shard is both endpoints' netsim.Network and its scheduler
+// theirs.
+type dumbbell struct {
+	*shard.Shard
+	c          *shard.Cluster
+	Bottleneck *netsim.Link
+}
+
+func newDumbbell(rate, delay float64, q netsim.Queue) dumbbell {
+	c := shard.New()
+	id := c.Dumbbell(rate, delay, q)
+	c.Partition(1)
+	return dumbbell{Shard: c.Shard(0), c: c, Bottleneck: c.Link(id)}
+}
+
 func TestProbeCountsLossEvents(t *testing.T) {
-	var s des.Scheduler
-	link := netsim.NewLink(&s, 1.25e6, 0.01, netsim.NewDropTail(50))
-	net := topology.NewDumbbell(&s, link)
+	net := newDumbbell(1.25e6, 0.01, netsim.NewDropTail(50))
+	s := net.Sched()
 	// Saturating TCP flow creates periodic loss episodes; the probe
 	// samples them.
-	csnd, _ := tcp.NewFlow(&s, net, 1, tcp.DefaultConfig(), 0, 0.015)
-	probe := NewProbe(&s, net, 2, 1000, 20, true, 0.05, 3, 0, 0.015)
+	csnd, _ := tcp.NewFlow(s, net, 1, tcp.DefaultConfig(), 0, 0.015)
+	probe := NewProbe(s, net, 2, 1000, 20, true, 0.05, 3, 0, 0.015)
 	csnd.Start()
 	probe.Start()
 	s.RunUntil(30)
@@ -38,13 +52,12 @@ func TestProbeCountsLossEvents(t *testing.T) {
 }
 
 func TestProbeCBRSpacing(t *testing.T) {
-	var s des.Scheduler
-	link := netsim.NewLink(&s, 1e9, 0, netsim.NewDropTail(1000))
-	net := topology.NewDumbbell(&s, link)
+	net := newDumbbell(1e9, 0, netsim.NewDropTail(1000))
+	s := net.Sched()
 	var arrivals []float64
 	net.AttachFlow(7, netsim.EndpointFunc(func(*netsim.Packet) {}),
 		netsim.EndpointFunc(func(p *netsim.Packet) { arrivals = append(arrivals, s.Now()) }), 0, 0)
-	p := &Probe{sched: &s, net: net, flow: 7, size: 100, rate: 10, random: rng.New(1), rttGuess: 0.1}
+	p := &Probe{sched: s, net: net, flow: 7, size: 100, rate: 10, random: rng.New(1), rttGuess: 0.1}
 	p.events = netsim.NewLossEventCounter(func() float64 { return 0.1 })
 	p.Start()
 	s.RunUntil(1.05)
@@ -59,10 +72,10 @@ func TestProbeCBRSpacing(t *testing.T) {
 }
 
 func TestPoissonProbeExponentialGaps(t *testing.T) {
-	var s des.Scheduler
-	link := netsim.NewLink(&s, 1e9, 0, netsim.NewDropTail(100000))
-	net := topology.NewDumbbell(&s, link)
-	probe := NewProbe(&s, net, 7, 100, 50, true, 0.1, 5, 0, 0)
+	net := newDumbbell(1e9, 0, netsim.NewDropTail(100000))
+	s := net.Sched()
+	link := net.Bottleneck
+	probe := NewProbe(s, net, 7, 100, 50, true, 0.1, 5, 0, 0)
 	var arrivals []float64
 	inner := link.Deliver
 	link.Deliver = func(p *netsim.Packet) {
@@ -162,17 +175,16 @@ func TestAudioLargerLWeakerEffect(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	var s des.Scheduler
-	link := netsim.NewLink(&s, 1e6, 0, netsim.NewDropTail(10))
-	net := topology.NewDumbbell(&s, link)
+	net := newDumbbell(1e6, 0, netsim.NewDropTail(10))
+	s := net.Sched()
 	f := formula.NewSQRT(formula.DefaultParams())
 	cases := []func(){
 		func() { NewProbe(nil, net, 1, 100, 1, false, 0.1, 1, 0, 0) },
-		func() { NewProbe(&s, net, 1, 0, 1, false, 0.1, 1, 0, 0) },
-		func() { NewProbe(&s, net, 1, 100, 0, false, 0.1, 1, 0, 0) },
-		func() { NewProbe(&s, net, 1, 100, 1, false, 0, 1, 0, 0) },
+		func() { NewProbe(s, net, 1, 0, 1, false, 0.1, 1, 0, 0) },
+		func() { NewProbe(s, net, 1, 100, 0, false, 0.1, 1, 0, 0) },
+		func() { NewProbe(s, net, 1, 100, 1, false, 0, 1, 0, 0) },
 		func() {
-			p := NewProbe(&s, net, 2, 100, 1, false, 0.1, 1, 0, 0)
+			p := NewProbe(s, net, 2, 100, 1, false, 0.1, 1, 0, 0)
 			p.Start()
 			p.Start()
 		},

@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -179,6 +182,29 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A well-checksummed envelope written under another codec version is
+// refused, and the error names both versions.
+func TestDecodeRefusesForeignVersion(t *testing.T) {
+	b := Encode(7, []byte("payload"))
+	foreign := uint32(CodecVersion + 1)
+	binary.LittleEndian.PutUint32(b[8:12], foreign)
+	h := fnv.New64a()
+	h.Write(b[:len(b)-trailerLen])
+	binary.LittleEndian.PutUint64(b[len(b)-trailerLen:], h.Sum64())
+	_, _, err := Decode(b)
+	if err == nil {
+		t.Fatal("foreign-version envelope decoded without error")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("codec version %d", foreign),
+		fmt.Sprintf("reads version %d", CodecVersion),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

@@ -8,9 +8,12 @@ import (
 	"strings"
 )
 
-// CodecVersion is the container format version. Readers refuse files
+// CodecVersion is the snapshot format version. Readers refuse files
 // written under a different version rather than guessing at layouts.
-const CodecVersion = 1
+// Version 2: every run snapshots the cluster's sections (shard-ordered
+// deliveries, injections and ledgers, plus the watched per-flow
+// accounts), including one-domain runs.
+const CodecVersion = 2
 
 // magic identifies a checkpoint file. Eight bytes, fixed.
 const magic = "EBRCCKP1"

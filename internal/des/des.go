@@ -50,7 +50,7 @@
 //
 // Reset returns a scheduler to its zero state while keeping every
 // bucket's and table's capacity, so a pooled scheduler can be reused
-// across simulation runs without reallocating (see the run arena in
+// across simulation runs without reallocating (see the cluster pool in
 // internal/experiments).
 package des
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // CheckpointOptions is the process-wide checkpoint selection, set by
@@ -52,64 +53,14 @@ func captureAll() capFn {
 	}
 }
 
-// ckptExec is the executor checkpoint seam: the granular state sections
-// both engines expose, sequenced explicitly by the driver below so the
-// restore-order invariants (protocols before the flow overlay, ledgers
-// last) hold on either engine.
-type ckptExec interface {
-	simExec
-	// schedulers returns every scheduling domain in domain order.
-	schedulers() []*des.Scheduler
-	ckptLinks(w *checkpoint.Writer, capOf capFn)
-	unckptLinks(r *checkpoint.Reader)
-	ckptFlows(w *checkpoint.Writer)
-	unckptFlows(r *checkpoint.Reader)
-	// ckptTransit covers the engine's in-flight hand-offs: pure-delay
-	// deliveries on both engines, plus the scheduled-but-unfired
-	// cross-shard injections on the cluster.
-	ckptTransit(w *checkpoint.Writer, capOf capFn)
-	unckptTransit(r *checkpoint.Reader)
-	ckptLedger(w *checkpoint.Writer)
-	unckptLedger(r *checkpoint.Reader)
-}
-
-func (e *serialExec) schedulers() []*des.Scheduler { return []*des.Scheduler{&e.a.sched} }
-
-func (e *serialExec) ckptLinks(w *checkpoint.Writer, capOf capFn) {
-	e.Network.SaveLinks(w, capOf(&e.a.sched))
-}
-func (e *serialExec) unckptLinks(r *checkpoint.Reader) { e.Network.RestoreLinks(r) }
-func (e *serialExec) ckptFlows(w *checkpoint.Writer)   { e.Network.SaveFlows(w) }
-func (e *serialExec) unckptFlows(r *checkpoint.Reader) { e.Network.RestoreFlows(r) }
-func (e *serialExec) ckptTransit(w *checkpoint.Writer, capOf capFn) {
-	e.Network.SaveDeliveries(w, capOf(&e.a.sched))
-}
-func (e *serialExec) unckptTransit(r *checkpoint.Reader) { e.Network.RestoreDeliveries(r) }
-func (e *serialExec) ckptLedger(w *checkpoint.Writer)    { e.Network.SaveLedger(w) }
-func (e *serialExec) unckptLedger(r *checkpoint.Reader)  { e.Network.RestoreLedger(r) }
-
-func (e *shardExec) schedulers() []*des.Scheduler {
-	scheds := make([]*des.Scheduler, e.Cluster.Shards())
+// schedulers returns the cluster's scheduling domains in shard order.
+func schedulers(c *shard.Cluster) []*des.Scheduler {
+	scheds := make([]*des.Scheduler, c.Shards())
 	for i := range scheds {
-		scheds[i] = e.Cluster.Shard(i).Sched()
+		scheds[i] = c.Shard(i).Sched()
 	}
 	return scheds
 }
-
-func (e *shardExec) ckptLinks(w *checkpoint.Writer, capOf capFn) { e.Cluster.SaveLinks(w, capOf) }
-func (e *shardExec) unckptLinks(r *checkpoint.Reader)            { e.Cluster.RestoreLinks(r) }
-func (e *shardExec) ckptFlows(w *checkpoint.Writer)              { e.Cluster.SaveFlows(w) }
-func (e *shardExec) unckptFlows(r *checkpoint.Reader)            { e.Cluster.RestoreFlows(r) }
-func (e *shardExec) ckptTransit(w *checkpoint.Writer, capOf capFn) {
-	e.Cluster.SaveDeliveries(w, capOf)
-	e.Cluster.SaveInjections(w, capOf)
-}
-func (e *shardExec) unckptTransit(r *checkpoint.Reader) {
-	e.Cluster.RestoreDeliveries(r)
-	e.Cluster.RestoreInjections(r)
-}
-func (e *shardExec) ckptLedger(w *checkpoint.Writer)   { e.Cluster.SaveLedger(w) }
-func (e *shardExec) unckptLedger(r *checkpoint.Reader) { e.Cluster.RestoreLedger(r) }
 
 // configDigest folds every field of the run's configuration that shapes
 // its trajectory — scenario label, seed, topology, flow population,
@@ -205,10 +156,10 @@ type instant struct {
 // topoCkpt drives one checkpoint-aware (or resuming) multi-hop run: it
 // owns references to every stateful component the rebuild produced, in
 // a fixed order, and sequences their Save/Restore hooks around the
-// engine's RunUntil stepping.
+// cluster's Run stepping.
 type topoCkpt struct {
 	cfg      *TopoSimConfig
-	env      ckptExec
+	env      *shard.Cluster
 	ob       *obsRun
 	armed    armedFault
 	churn    churnEngine
@@ -265,7 +216,7 @@ func (d *topoCkpt) run() {
 		}
 	}
 	if from < 0 {
-		d.env.RunUntil(d.cfg.Warmup)
+		d.env.Run(d.cfg.Warmup)
 		d.resetAll()
 		d.ob.begin()
 		d.saveAt(d.cfg.Warmup)
@@ -275,7 +226,7 @@ func (d *topoCkpt) run() {
 		if in.t <= from {
 			continue
 		}
-		d.env.RunUntil(in.t)
+		d.env.Run(in.t)
 		if in.epoch >= 0 {
 			d.ob.boundary(in.epoch, in.start, in.t)
 		}
@@ -387,7 +338,7 @@ func (d *topoCkpt) tryResume() (float64, bool) {
 // log, and — last — the freelist ledgers.
 func (d *topoCkpt) save(w *checkpoint.Writer) {
 	capOf := captureAll()
-	scheds := d.env.schedulers()
+	scheds := schedulers(d.env)
 	w.Int(len(scheds))
 	for _, s := range scheds {
 		w.F64(s.Now())
@@ -396,7 +347,7 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 		w.U64(s.Cascaded())
 		w.Int(s.Pending())
 	}
-	d.env.ckptLinks(w, capOf)
+	d.env.SaveLinks(w, capOf)
 	for i, snd := range d.tfrcSnd {
 		snd.Save(w, capOf(snd.Scheduler()))
 		d.tfrcRcv[i].Save(w, capOf(d.tfrcRcv[i].Scheduler()))
@@ -418,13 +369,14 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 	if d.churn != nil {
 		d.churn.Save(w, capOf)
 	}
-	d.env.ckptFlows(w)
-	d.env.ckptTransit(w, capOf)
+	d.env.SaveFlows(w)
+	d.env.SaveDeliveries(w, capOf)
+	d.env.SaveInjections(w, capOf)
 	w.Bool(d.ob != nil)
 	if d.ob != nil {
 		d.ob.save(w)
 	}
-	d.env.ckptLedger(w)
+	d.env.SaveLedger(w)
 }
 
 // restore overlays a snapshot onto the freshly rebuilt simulation and
@@ -435,9 +387,9 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 // validates the attached population, and the ledgers restore last so
 // the leak invariant holds the moment restore returns.
 func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
-	scheds := d.env.schedulers()
+	scheds := schedulers(d.env)
 	if n := r.Count(); n != len(scheds) {
-		r.Fail("snapshot has %d schedulers, this executor has %d", n, len(scheds))
+		r.Fail("snapshot has %d schedulers, this cluster has %d", n, len(scheds))
 		return 0
 	}
 	now := 0.0
@@ -460,7 +412,7 @@ func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
 		s.RestoreClock(t, seq, fired, cascaded)
 		now = t
 	}
-	d.env.unckptLinks(r)
+	d.env.RestoreLinks(r)
 	for i, snd := range d.tfrcSnd {
 		if r.Err() != nil {
 			return 0
@@ -498,8 +450,9 @@ func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
 	if d.churn != nil {
 		d.churn.Restore(r)
 	}
-	d.env.unckptFlows(r)
-	d.env.unckptTransit(r)
+	d.env.RestoreFlows(r)
+	d.env.RestoreDeliveries(r)
+	d.env.RestoreInjections(r)
 	hadObs := r.Bool()
 	if hadObs != (d.ob != nil) {
 		r.Fail("snapshot and rebuilt run disagree on observability capture")
@@ -508,7 +461,7 @@ func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
 	if d.ob != nil {
 		d.ob.restore(r)
 	}
-	d.env.unckptLedger(r)
+	d.env.RestoreLedger(r)
 	if r.Err() != nil {
 		return 0
 	}

@@ -10,8 +10,8 @@ import (
 
 // The churn scenario family exercises the run-time flow lifecycle
 // engine (internal/arrivals): session arrival processes that attach
-// finite TFRC/TCP/CBR transfers while the simulation runs and — on the
-// serial executor — detach and recycle them once quiet. Each fold
+// finite TFRC/TCP/CBR transfers while the simulation runs and — on a
+// one-domain partition — detach and recycle them once quiet. Each fold
 // reports, per class, the Palm view of the population process (the mean
 // population an arrival finds, E0[N]) next to the time-average
 // population: PASTA makes the two agree for Poisson session arrivals

@@ -46,7 +46,7 @@ func churnTestConfig(shards int) TopoSimConfig {
 	return cfg
 }
 
-// The serial engine must reclaim departed churn flows (the leak
+// A one-domain run must reclaim departed churn flows (the leak
 // invariant after mid-run detach is asserted inside the run by
 // LeakCheck) and still force the epoch log for the folds.
 func TestChurnServesAndReclaims(t *testing.T) {
@@ -63,7 +63,7 @@ func TestChurnServesAndReclaims(t *testing.T) {
 			t.Fatalf("class %s: no completions", c.Name)
 		}
 		if c.Reclaimed == 0 {
-			t.Fatalf("class %s: serial run reclaimed nothing", c.Name)
+			t.Fatalf("class %s: one-domain run reclaimed nothing", c.Name)
 		}
 		if c.Constructions >= c.Arrivals {
 			t.Fatalf("class %s: endpoint pool never reused (%d constructions, %d arrivals)",
@@ -79,9 +79,9 @@ func TestChurnServesAndReclaims(t *testing.T) {
 }
 
 // churnSignature collapses the executor-invariant part of a run for
-// byte comparison: class results minus the reclamation counters (the
-// sharded engine never detaches, so Constructions/Reclaimed are the one
-// sanctioned difference), plus the epoch deltas.
+// byte comparison: class results minus the reclamation counters (a
+// multi-shard partition never detaches, so Constructions/Reclaimed are
+// the one sanctioned difference), plus the epoch deltas.
 func churnSignature(res TopoSimResult) []arrivals.ClassResult {
 	sig := make([]arrivals.ClassResult, len(res.Churn))
 	for i, c := range res.Churn {
@@ -95,7 +95,7 @@ func churnSignature(res TopoSimResult) []arrivals.ClassResult {
 
 // The churn engine must not disturb the determinism contract: the same
 // arrivals, completions, populations and Palm statistics — and the same
-// engine event count — on the serial engine and at every shard count,
+// engine event count — on one domain and at every shard count,
 // with the goroutine-per-shard driver included.
 func TestChurnShardedDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -115,11 +115,11 @@ func TestChurnShardedDeterminism(t *testing.T) {
 			}
 		}
 		if k < 2 {
-			continue // shards=1 runs on the serial engine and reclaims
+			continue // shards=1 is a one-domain partition and reclaims
 		}
 		for _, c := range got.Churn {
 			if c.Reclaimed != 0 || c.Constructions != c.Arrivals {
-				t.Fatalf("shards=%d class %s: cluster must never reclaim (%+v)", k, c.Name, c)
+				t.Fatalf("shards=%d class %s: a multi-shard partition must never reclaim (%+v)", k, c.Name, c)
 			}
 		}
 	}

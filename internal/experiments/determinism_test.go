@@ -65,7 +65,7 @@ func TestSimScenarioParallelDeterminism(t *testing.T) {
 // The same property for the multi-hop topology, routed-reverse and
 // scale-out scenarios: the parking-lot, multi-bottleneck, reverse-path
 // and scale-chain sweeps must fold byte-identically from a worker pool.
-// The scale-out runs also exercise the run-arena reuse hardest — many
+// The scale-out runs also exercise the cluster-pool reuse hardest — many
 // replications recycling schedulers and packet pools across workers —
 // and the TestMain leak check is armed for every one of them.
 func TestTopoScenarioParallelDeterminism(t *testing.T) {

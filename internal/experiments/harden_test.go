@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -53,5 +54,43 @@ func TestHardenedPoolQuietOnHealthyRun(t *testing.T) {
 	hardened := renderAll(t, "multibneck", sz, &runner.Pool{Workers: 2, JobDeadline: 10 * time.Minute})
 	if !bytes.Equal(serial, hardened) {
 		t.Fatalf("hardened pool output differs from serial\nserial:\n%s\nhardened:\n%s", serial, hardened)
+	}
+}
+
+// TestLiveSnapshotWhileRunsBuild polls the live-introspection surface
+// from another goroutine while sharded runs build, run and recycle their
+// clusters — the access pattern of the expvar endpoint during a long
+// -expvar run. Under -race it pins that a cluster appears on the surface
+// only once Partition has written its shard table, and leaves it before
+// the cluster is reset for reuse.
+func TestLiveSnapshotWhileRunsBuild(t *testing.T) {
+	old := Observe
+	Observe = ObserveOptions{Live: true}
+	defer func() { Observe = old }()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	polls := 0
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			obs.LiveSnapshot()
+			polls++
+		}
+	}()
+	cfg := parkingLotBase(Sizing{SimFactor: 0.01, Shards: 2})
+	cfg.Hops = 3
+	for i := 0; i < 20; i++ {
+		cfg.Seed = uint64(i + 1)
+		RunTopoSim(cfg)
+	}
+	close(stop)
+	<-done
+	if polls == 0 {
+		t.Fatal("the poller never sampled the surface")
 	}
 }

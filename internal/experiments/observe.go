@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
@@ -37,7 +38,7 @@ type ObserveOptions struct {
 	// (loss events, no-feedback expiries, TCP timeouts, fault
 	// transitions, shard handoffs) for Chrome trace_event output.
 	TraceCap int
-	// Live publishes each active sharded cluster's per-shard snapshots
+	// Live publishes each active run's per-shard snapshots
 	// (clock, window, barrier waits, handoffs) on the process-wide
 	// live-introspection surface (obs.PublishLive) while runs execute —
 	// the expvar endpoint the CLI serves with -expvar. Snapshots are
@@ -56,7 +57,7 @@ func (o ObserveOptions) enabled() bool {
 
 // RunObs is one run's observability capture, carried on the run's
 // result struct. All fields are freshly allocated — nothing aliases the
-// pooled arena or cluster the run executed in.
+// pooled cluster the run executed in.
 type RunObs struct {
 	// Metrics is the run's registry (nil unless Observe.Metrics).
 	Metrics *obs.Registry
@@ -76,23 +77,13 @@ func (r SimResult) runObs() *RunObs     { return r.Obs }
 func (r TopoSimResult) runObs() *RunObs { return r.Obs }
 func (r RevSimResult) runObs() *RunObs  { return r.Obs }
 
-// obsEngine is the sampling surface shared by both engines and the
-// dumbbell: link enumeration plus the executor-invariant population
-// counters. serialExec, shardExec and topology.Dumbbell all satisfy it.
-type obsEngine interface {
-	Links() int
-	Link(id topology.LinkID) *netsim.Link
-	Fired() uint64
-	Pending() int
-	Outstanding() int64
-}
-
-// obsRun drives one run's capture. A nil *obsRun (observability off) is
-// a valid receiver for every method, so call sites stay branch-free.
+// obsRun drives one run's capture: it samples the cluster's link
+// counters and its shard-summed, shard-count-invariant populations.
+// A nil *obsRun (observability off) is a valid receiver for every
+// method, so call sites stay branch-free.
 type obsRun struct {
-	eng     obsEngine
-	tracers func() []*obs.Tracer
-	epochs  int
+	eng    *shard.Cluster
+	epochs int
 
 	log  *obs.EpochLog
 	prev obs.Epoch
@@ -105,13 +96,12 @@ type obsRun struct {
 	headroom []float64
 }
 
-// newObsRun returns the collector for one run, or nil when Observe is
-// entirely off. tracers must return the per-domain tracers at
-// collection time. forceEpochs is the run's own epoch-log floor: churn
+// newObsRun returns the collector for one run on the partitioned
+// cluster, or nil when Observe is entirely off. forceEpochs is the run's own epoch-log floor: churn
 // scenarios set it so their folds get per-epoch deltas even on a plain
 // CLI run (the forced log rides the result struct only — TSV epoch
 // blocks stay gated on the user's Observe selection).
-func newObsRun(eng obsEngine, tracers func() []*obs.Tracer, forceEpochs int) *obsRun {
+func newObsRun(eng *shard.Cluster, forceEpochs int) *obsRun {
 	epochs := Observe.Epochs
 	if forceEpochs > epochs {
 		epochs = forceEpochs
@@ -119,7 +109,7 @@ func newObsRun(eng obsEngine, tracers func() []*obs.Tracer, forceEpochs int) *ob
 	if !Observe.enabled() && epochs <= 1 {
 		return nil
 	}
-	o := &obsRun{eng: eng, tracers: tracers, epochs: epochs}
+	o := &obsRun{eng: eng, epochs: epochs}
 	if o.epochs > 1 {
 		o.log = &obs.EpochLog{}
 	}
@@ -200,7 +190,7 @@ func (o *obsRun) sampleUnbounded() {
 // unboundedDepth scans the engine's links for Unbounded queues: the
 // maximum high-water mark, the minimum remaining headroom against each
 // queue's effective hard cap, and whether any such queue exists.
-func unboundedDepth(eng obsEngine) (hw, head int, any bool) {
+func unboundedDepth(eng *shard.Cluster) (hw, head int, any bool) {
 	for id := 0; id < eng.Links(); id++ {
 		u, ok := eng.Link(topology.LinkID(id)).Queue().(*netsim.Unbounded)
 		if !ok {
@@ -222,7 +212,7 @@ func unboundedDepth(eng obsEngine) (hw, head int, any bool) {
 }
 
 // runMeasured advances the engine from the end of warmup (time from) to
-// the end of the run (time to) via run (the engine's RunUntil),
+// the end of the run (time to) via run (the cluster's Run),
 // sampling epoch boundaries when epoch logging is on. With
 // observability off (nil receiver) or no epochs it is exactly run(to) —
 // one call, identical trajectory. The boundary times are pure float
@@ -325,8 +315,8 @@ func (o *obsRun) collect(tf []tfrc.Stats, tc []tcp.Stats) *RunObs {
 		})
 		res.Metrics = reg
 	}
-	if Observe.TraceCap > 0 && o.tracers != nil {
-		ts := o.tracers()
+	if Observe.TraceCap > 0 {
+		ts := o.eng.Tracers()
 		res.Events = obs.MergeEvents(ts)
 		for _, t := range ts {
 			res.Dropped += t.Dropped()

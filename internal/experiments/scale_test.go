@@ -15,8 +15,8 @@ func quickScale(hops, flows int, seed uint64) TopoSimResult {
 }
 
 // TestScaleChainDeterministicAndLeakFree replays a many-hop, many-flow
-// cell: same seed must give identical results — through the pooled
-// arena, so the second run reuses the first run's scheduler wheels and
+// cell: same seed must give identical results — through the cluster
+// pool, so the second run reuses the first run's scheduler wheels and
 // packet pool — and every run must satisfy the leak invariant (armed in
 // TestMain, enforced inside RunTopoSim).
 func TestScaleChainDeterministicAndLeakFree(t *testing.T) {

@@ -6,12 +6,10 @@ import (
 	"repro/internal/des"
 	"repro/internal/estimator"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
-	"repro/internal/topology"
 )
 
 // QueueKind selects the bottleneck queue discipline.
@@ -56,7 +54,8 @@ type SimConfig struct {
 	Duration, Warmup float64
 	// Seed drives all randomness in the run.
 	Seed uint64
-	// RevJitter randomizes reverse-path delays (fraction, see netsim).
+	// RevJitter randomizes reverse-path delays (fraction, see
+	// shard.Cluster.SetReverseJitter).
 	RevJitter float64
 	// CrossLoad, when positive, adds heavy-tailed on/off background
 	// traffic offering this fraction of the bottleneck capacity.
@@ -96,17 +95,6 @@ type SimResult struct {
 	// wide Observe options enable one).
 	Obs *RunObs
 }
-
-// serialEng adapts the dumbbell runs' raw network + scheduler pair to
-// the obsEngine sampling surface the multi-hop executors satisfy
-// directly.
-type serialEng struct {
-	*topology.Network
-	sched *des.Scheduler
-}
-
-func (e serialEng) Fired() uint64 { return e.sched.Fired() }
-func (e serialEng) Pending() int  { return e.sched.Pending() }
 
 // staggeredStart schedules a sender's Start at a seed-drawn offset
 // inside the first half of the warmup (capped at 5 s), breaking phase
@@ -149,12 +137,11 @@ func RunSim(cfg SimConfig) SimResult {
 	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
 		panic("experiments: need at least one flow")
 	}
-	// The run rebuilds its simulation state inside a pooled arena: the
-	// scheduler's wheels and the network's packet/flow pools carry their
-	// capacity across replications instead of being reallocated.
-	a := getArena()
-	defer putArena(a)
-	sched := &a.sched
+	// The run declares its dumbbell inside a pooled one-domain cluster
+	// (see exec.go): the scheduler's wheels and the packet/flow pools
+	// carry their capacity across replications instead of being
+	// reallocated.
+	env := getCluster()
 	seedRNG := rng.New(cfg.Seed)
 
 	var queue netsim.Queue
@@ -169,17 +156,19 @@ func RunSim(cfg SimConfig) SimResult {
 	default:
 		panic("experiments: unknown queue kind")
 	}
-	link := netsim.NewLink(sched, cfg.Capacity, cfg.BaseDelay, queue)
-	net := topology.BuildDumbbell(a.net, link)
+	bottleneck := env.Dumbbell(cfg.Capacity, cfg.BaseDelay, queue)
 	if cfg.RevJitter > 0 {
-		net.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
+		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
 	}
+	env.Partition(1)
+	defer putCluster(env, publishLive(env))
 	// Tracer attach precedes endpoint construction: senders and
 	// receivers resolve their domain's tracer once, when built. With
 	// tracing off the tracer stays nil and every hook is a nil-sink.
-	net.Trace = obs.NewTracer(Observe.TraceCap, 0)
-	ob := newObsRun(serialEng{net.Network, sched},
-		func() []*obs.Tracer { return []*obs.Tracer{net.Trace} }, 0)
+	env.AttachTracers(Observe.TraceCap)
+	ob := newObsRun(env, 0)
+	net := env.Shard(0)
+	sched := net.Sched()
 
 	tfrcCfg := tfrc.DefaultConfig()
 	tfrcCfg.Window = cfg.L
@@ -225,18 +214,19 @@ func RunSim(cfg SimConfig) SimResult {
 		if meanOff <= 0 {
 			meanOff = 1e-3
 		}
+		env.AttachSink(flowID, bottleneck)
 		ct := netsim.NewCrossTraffic(sched, net, flowID, peak, meanBurst, 1.5,
 			meanOff, int(pktSize), seedRNG.Uint64())
 		sched.At(seedRNG.Float64(), ct.Start)
 	}
 
-	sched.RunUntil(cfg.Warmup)
+	env.Run(cfg.Warmup)
 	resetStats(tfrcSenders)
 	resetStats(tcpSenders)
 	if probe != nil {
 		probe.resetStats()
 	}
-	ob.runMeasured(sched.RunUntil, cfg.Warmup, cfg.Warmup+cfg.Duration)
+	ob.runMeasured(env.Run, cfg.Warmup, cfg.Warmup+cfg.Duration)
 
 	var res SimResult
 	res.TFRCPerFlow = tfrcStats(tfrcSenders)
@@ -246,10 +236,10 @@ func RunSim(cfg SimConfig) SimResult {
 	if probe != nil {
 		res.Poisson = probe.stats()
 	}
-	res.EventsFired = sched.Fired()
+	res.EventsFired = env.Fired()
 	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
 	if LeakCheck {
-		if err := net.CheckLeaks(); err != nil {
+		if err := env.CheckLeaks(); err != nil {
 			panic(err)
 		}
 	}

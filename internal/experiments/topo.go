@@ -62,15 +62,16 @@ type TopoSimConfig struct {
 	Duration, Warmup float64
 	// Seed drives all randomness in the run.
 	Seed uint64
-	// RevJitter randomizes reverse-path delays (fraction, see topology).
+	// RevJitter randomizes reverse-path delays (fraction, see
+	// shard.Cluster.SetReverseJitter).
 	RevJitter float64
-	// Shards, when above 1, executes the run on the space-parallel
-	// sharded engine (internal/shard) with at most that many domains.
-	// The results are byte-identical to a serial run — the scheduler
-	// event count included — at any value.
+	// Shards, when above 1, partitions the run's network (internal/shard)
+	// into at most that many space-parallel domains; <= 1 runs it on one.
+	// The results are byte-identical — the scheduler event count
+	// included — at any value.
 	Shards int
 	// Faults, when non-nil, is the deterministic fault-injection plan
-	// armed against the chain right after the graph freezes (see
+	// armed against the chain right after the graph is partitioned (see
 	// internal/fault): timed link Down/Up transitions, runtime capacity
 	// renegotiation, and per-link Gilbert–Elliott bursty loss. Link IDs
 	// index the forward chain (0..Hops-1) and, under MirrorRev, the
@@ -244,12 +245,11 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
 		panic("experiments: need at least one long flow")
 	}
-	// Build the chain inside a pooled executor (see exec.go / arena.go):
-	// serial for Shards <= 1, space-parallel sharded otherwise. Either
-	// way wheels, packet pools and flow-state records are reused across
-	// replications.
-	env := newExec(cfg.Shards)
-	defer env.Close()
+	// Build the chain inside a pooled cluster (see exec.go), partitioned
+	// into at most cfg.Shards domains — one domain, the serial engine,
+	// for Shards <= 1. Either way wheels, packet pools and flow records
+	// are reused across replications.
+	env := getCluster()
 	seedRNG := rng.New(cfg.Seed)
 
 	nodes := make([]topology.NodeID, cfg.Hops+1)
@@ -262,8 +262,8 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 			netsim.NewDropTail(cfg.Buffer))
 	}
 	env.SetDefaultRoute(route...)
-	// The mirrored reverse chain must be declared before Freeze (links
-	// cannot materialize after the sharded executor partitions). Its
+	// The mirrored reverse chain must be declared before Partition
+	// (links materialize on their owning shards there). Its
 	// links get IDs Hops..2·Hops-1, last forward node back to the first.
 	var revRoute []topology.LinkID
 	if cfg.MirrorRev {
@@ -276,17 +276,18 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	if cfg.RevJitter > 0 {
 		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
 	}
-	env.Freeze()
-	// Tracer attach sits between the freeze (shards exist, links are
+	env.Partition(cfg.Shards)
+	defer putCluster(env, publishLive(env))
+	// Tracer attach sits between the partition (shards exist, links are
 	// owned) and both the fault arming and endpoint construction, which
 	// each resolve their domain's tracer once. Cap <= 0 (tracing off)
 	// leaves every tracer nil.
 	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, env.Tracers, cfg.ForceEpochs)
-	// Arm the fault plan right after the freeze: every timed transition
-	// is scheduled at declaration time, in plan order, on the scheduler
-	// that owns its link — the same (time, arming-key, seq) order on the
-	// serial and sharded engines. A nil plan arms nothing and consumes
+	ob := newObsRun(env, cfg.ForceEpochs)
+	// Arm the fault plan right after the partition: every timed
+	// transition is scheduled at declaration time, in plan order, on the
+	// scheduler that owns its link — the same (time, arming-key, seq)
+	// order at every shard count. A nil plan arms nothing and consumes
 	// no randomness, so fault-free runs are byte-identical to builds
 	// that predate the fault layer.
 	armed, err := fault.Arm(env, cfg.Faults)
@@ -318,15 +319,15 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		if cfg.MirrorRev {
 			env.SetReverseRoute(flowID, revRoute...)
 		}
-		sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-		snd, rcv := tfrc.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, c,
+		ss, rs := env.FlowEnv(flowID)
+		snd, rcv := tfrc.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, c,
 			cfg.AccessDelay*k, cfg.RevDelay*k)
 		tfrcSenders = append(tfrcSenders, snd)
 		tfrcReceivers = append(tfrcReceivers, rcv)
 		baseRTTs = append(baseRTTs, env.BaseRTT(flowID))
-		staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 		if cfg.Watch != nil {
-			watchers = append(watchers, newRateWatch(sndSched, snd.Rate, *cfg.Watch, end))
+			watchers = append(watchers, newRateWatch(ss.Sched(), snd.Rate, *cfg.Watch, end))
 		}
 		flowID++
 	}
@@ -337,12 +338,12 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		if cfg.MirrorRev {
 			env.SetReverseRoute(flowID, revRoute...)
 		}
-		sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-		snd, rcv := tcp.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, tcp.DefaultConfig(),
+		ss, rs := env.FlowEnv(flowID)
+		snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
 			cfg.AccessDelay*k, cfg.RevDelay*k)
 		tcpSenders = append(tcpSenders, snd)
 		tcpReceivers = append(tcpReceivers, rcv)
-		staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 		flowID++
 	}
 	crossSenders := make([]*tcp.Sender, 0, cfg.Hops*cfg.CrossPerHop)
@@ -350,20 +351,20 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	for h := 0; h < cfg.Hops; h++ {
 		for i := 0; i < cfg.CrossPerHop; i++ {
 			env.SetRoute(flowID, route[h])
-			sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-			snd, rcv := tcp.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, tcp.DefaultConfig(),
+			ss, rs := env.FlowEnv(flowID)
+			snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
 				0, cfg.CrossRevDelay)
 			crossSenders = append(crossSenders, snd)
 			crossReceivers = append(crossReceivers, rcv)
-			staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+			staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 			flowID++
 		}
 	}
 
 	// Churn classes arm after every static flow (their id block starts at
-	// flowID) and before the first Run: the sharded executor's flow table
-	// must be sized and its cross-shard pure-delay reverse channels
-	// declared while the cluster is still unsealed.
+	// flowID) and before the first Run: the cluster's flow table must be
+	// sized and its cross-shard pure-delay reverse channels declared
+	// while it is still unsealed.
 	var churn *arrivals.Engine
 	if len(cfg.Churn) > 0 {
 		baseRTT := 2*(float64(cfg.Hops)*cfg.HopDelay+cfg.AccessDelay) + cfg.RevDelay
@@ -404,7 +405,7 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		churn.Arm()
 	}
 
-	// Checkpoint-off runs take the exact pre-checkpoint path: two RunUntil
+	// Checkpoint-off runs take the exact pre-checkpoint path: two Run
 	// calls (plus epoch boundaries), no capture, no extra branches. With
 	// snapshotting or resuming requested the driver below sequences the
 	// same warmup/reset/measure steps around the save and restore hooks.
@@ -413,10 +414,6 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	if ckptOn || resuming {
 		if Observe.TraceCap > 0 {
 			panic("experiments: checkpoint/resume is incompatible with event tracing (-trace): the bounded trace rings are not part of a snapshot")
-		}
-		ce, ok := env.(ckptExec)
-		if !ok {
-			panic("experiments: executor does not support checkpointing")
 		}
 		shards := 1
 		if cfg.Shards > 1 {
@@ -427,7 +424,7 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 			obEpochs = ob.epochs
 		}
 		d := &topoCkpt{
-			cfg: &cfg, env: ce, ob: ob, armed: armed, watchers: watchers,
+			cfg: &cfg, env: env, ob: ob, armed: armed, watchers: watchers,
 			end: end, saving: ckptOn, resume: cfg.Resume,
 			digest: configDigest(&cfg, shards, obEpochs),
 		}
@@ -453,11 +450,11 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		}
 		d.run()
 	} else {
-		env.RunUntil(cfg.Warmup)
+		env.Run(cfg.Warmup)
 		resetStats(tfrcSenders)
 		resetStats(tcpSenders)
 		resetStats(crossSenders)
-		ob.runMeasured(env.RunUntil, cfg.Warmup, end)
+		ob.runMeasured(env.Run, cfg.Warmup, end)
 	}
 
 	var res TopoSimResult

@@ -214,9 +214,8 @@ func (p *Plan) Validate(links int) error {
 	return nil
 }
 
-// Host is the simulation surface a plan arms against. Both engines
-// satisfy it: *topology.Network directly, *shard.Cluster after
-// Partition (and the experiments executor seam by embedding either).
+// Host is the simulation surface a plan arms against; *shard.Cluster
+// satisfies it after Partition.
 type Host interface {
 	// Links returns the number of links in the topology.
 	Links() int
@@ -231,8 +230,8 @@ type Host interface {
 // that can name the event tracer of the domain owning a link. Arm uses
 // it (when implemented and the tracer is non-nil) to emit fault
 // transitions — EvFaultDown, EvFaultUp, EvFaultRate — into the owning
-// shard's ring, keeping emission single-threaded on the sharded engine.
-// Both engines implement it; with tracing off the tracer is nil and
+// shard's ring, keeping emission single-threaded at any shard count.
+// The cluster implements it; with tracing off the tracer is nil and
 // every emission is a nil-sink no-op.
 type TracedHost interface {
 	LinkTracer(id topology.LinkID) *obs.Tracer

@@ -37,23 +37,23 @@ func PublishLive(name string, fn func() any) string {
 	return key
 }
 
-// UnpublishLive removes a previously published snapshot function.
+// UnpublishLive removes a previously published snapshot function. Once
+// it returns, the function is not running and never runs again, so the
+// publisher may reuse whatever the function reads.
 func UnpublishLive(key string) {
 	liveMu.Lock()
 	defer liveMu.Unlock()
 	delete(liveVars, key)
 }
 
-// LiveSnapshot evaluates every published snapshot function.
+// LiveSnapshot evaluates every published snapshot function. The
+// functions run under the registry lock — they are cheap atomic reads —
+// which is what lets UnpublishLive promise that none is still running.
 func LiveSnapshot() map[string]any {
 	liveMu.Lock()
-	fns := make(map[string]func() any, len(liveVars))
+	defer liveMu.Unlock()
+	out := make(map[string]any, len(liveVars))
 	for k, fn := range liveVars {
-		fns[k] = fn
-	}
-	liveMu.Unlock()
-	out := make(map[string]any, len(fns))
-	for k, fn := range fns {
 		out[k] = fn()
 	}
 	return out

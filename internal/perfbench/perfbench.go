@@ -203,7 +203,7 @@ func CheckpointedChainSteadyState(b *testing.B) {
 // the standard share. The pending-event set here is an order of
 // magnitude beyond DumbbellSteadyState's, so this benchmark is the
 // end-to-end witness for the deep-queue scheduler path and the
-// run-arena reuse together. Reports events/sec and events/run like the
+// cluster-pool reuse together. Reports events/sec and events/run like the
 // other whole-simulation benchmarks.
 func DeepChainSteadyState(b *testing.B) {
 	cfg := experiments.TopoSimConfig{

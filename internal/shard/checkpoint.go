@@ -6,15 +6,19 @@ import (
 	"repro/internal/netsim"
 )
 
-// The cluster's snapshot surface mirrors topology.Network's: granular
-// sections the restore orchestrator (internal/experiments) sequences
-// explicitly. Snapshots are only taken between Run calls, when the
-// cluster is barrier-aligned: every bundle is drained, so the only
-// cross-shard state in flight is the scheduled-but-unfired injections,
-// which each destination shard owns and saves like any other timer.
-// capOf maps a scheduler to the capture of its timer population; every
-// section resolves each timer against the capture of the shard that
-// owns it.
+// The cluster's snapshot surface is split into sections the restore
+// orchestrator (internal/experiments) sequences explicitly, because
+// their restore points differ: links restore right after the rebuild,
+// flow overlays only after every flow — including churn arrivals — has
+// been re-attached, deliveries after the endpoints they target exist,
+// and the freelist ledgers last of all so the leak invariant holds the
+// moment the restore completes. Snapshots are only taken between Run
+// calls, when the cluster is barrier-aligned: every bundle is drained,
+// so the only cross-shard state in flight is the scheduled-but-unfired
+// injections, which each destination shard owns and saves like any
+// other timer. capOf maps a scheduler to the capture of its timer
+// population; every section resolves each timer against the capture of
+// the shard that owns it.
 
 // SaveLinks writes every link's state in link-id order, each against
 // its owning shard's capture.
@@ -210,12 +214,17 @@ func (c *Cluster) RestoreInjections(r *checkpoint.Reader) {
 }
 
 // SaveLedger writes each shard's freelist issue/return counters and its
-// handoff count in shard order.
+// handoff count in shard order, then the watched per-flow in-network
+// accounts (WatchFlows).
 func (c *Cluster) SaveLedger(w *checkpoint.Writer) {
 	for _, s := range c.shards {
 		w.I64(s.issued)
 		w.I64(s.returned)
 		w.I64(s.handoffs)
+	}
+	w.Int(len(c.lcCount))
+	for _, v := range c.lcCount {
+		w.I64(int64(v))
 	}
 }
 
@@ -229,5 +238,12 @@ func (c *Cluster) RestoreLedger(r *checkpoint.Reader) {
 		s.issued = r.I64()
 		s.returned = r.I64()
 		s.handoffs = r.I64()
+	}
+	if n := r.Count(); n != len(c.lcCount) {
+		r.Fail("snapshot watches %d flows, rebuilt cluster watches %d", n, len(c.lcCount))
+		return
+	}
+	for i := range c.lcCount {
+		c.lcCount[i] = int32(r.I64())
 	}
 }

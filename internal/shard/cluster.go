@@ -19,10 +19,35 @@ type linkSpec struct {
 	queue       netsim.Queue
 }
 
-// Cluster is a partitioned network graph: the same build surface as
-// topology.Network (the subset the experiments use), executed across K
-// shards. Declare the graph, call Partition, place endpoints with
-// FlowEnv + tfrc/tcp NewFlowOn, then drive it with Run.
+// Cluster is the packet-level network engine: a graph of nodes and
+// directed links with per-flow static source routes across any number
+// of congested hops, executed across K shards. Declare the graph (or
+// the paper's two-node Dumbbell), call Partition, place endpoints with
+// FlowEnv + tfrc/tcp NewFlowOn, then drive it with Run. A partition
+// with one domain is the serial engine: every endpoint shares one
+// scheduler and Run is a plain RunUntil.
+//
+// Forwarding model: a flow's forward route is an ordered chain of link
+// IDs. SendForward injects the packet at the first hop; each link
+// egress hands the packet back to the cluster, which either forwards it
+// into the next link's queue or — past the last hop — delivers it to
+// the flow's receiver after the flow's extra forward delay. Sink flows
+// (AttachSink, no receiver) recycle their packets at route end; this is
+// how cross traffic rides a chosen sub-path. A packet of a flow that
+// was never attached is a wiring bug and panics.
+//
+// Reverse model: by default the reverse path is uncongested and modeled
+// as a pure per-flow delay (with optional jitter), as in the paper's
+// experiments. A flow may instead carry a routed reverse path
+// (SetReverseRoute, or SetDefaultReverseRoute for every endpoint flow):
+// feedback and acknowledgment packets are then forwarded hop by hop
+// through real links and queues — queued behind competing traffic,
+// delayed by serialization, possibly dropped — before the flow's
+// remaining reverse delay returns them to the sender.
+//
+// The shards own the packet freelists and track issue/return counts,
+// so CheckLeaks can assert the leak invariant: every packet a freelist
+// issued is either back in a pool or demonstrably inside the network.
 //
 // The zero Cluster is not ready; use New (or Reset a used one).
 type Cluster struct {
@@ -33,9 +58,10 @@ type Cluster struct {
 	linkFrom []topology.NodeID
 	linkTo   []topology.NodeID
 
-	// flows is indexed by flow id (nil = unattached), mirroring
-	// topology.Network's dense table. The slice layout is what makes
-	// run-time attach (AttachLive) race-free under the parallel driver:
+	// flows is indexed by flow id (nil = unattached). A dense slice
+	// instead of a map: lookups sit on the per-packet hot path, and the
+	// slice layout is what makes run-time attach (AttachLive) race-free
+	// under the parallel driver:
 	// after ReserveFlows the slice header never changes, an arrival event
 	// stores a pointer into its own flow's slot, and any other shard only
 	// reads that slot after a window barrier has ordered the store before
@@ -94,6 +120,24 @@ type Cluster struct {
 	poisoned bool
 
 	frPool []*flowRec
+
+	// Per-flow in-network packet accounting for the churn engine's
+	// reclamation decisions (WatchFlows, one-domain partitions only):
+	// lcCount[flow-lcLo] is the number of freelist packets the flow
+	// currently has inside the simulator, and lcQuiet fires whenever a
+	// discharge empties a watched flow's account. All three stay
+	// nil/empty when unused.
+	lcLo    int
+	lcCount []int32
+	lcQuiet func(flow int)
+
+	// Partition's working sets, kept across Reset so a pooled cluster
+	// partitions without allocating.
+	parent     []int
+	atomOf     []int
+	weight     []float64
+	atomWeight []float64
+	atomShard  []int
 }
 
 // New returns an empty cluster.
@@ -104,9 +148,11 @@ func New() *Cluster {
 }
 
 // Reset empties the graph, partition and flow tables while keeping the
-// shards' schedulers, freelists and bundle buffers, so a pooled cluster
-// rebuilds its next simulation in place (see the run arena in
-// internal/experiments).
+// shards' schedulers, freelists and bundle buffers and the flow-record
+// pool, so a pooled cluster rebuilds its next simulation in place (see
+// the cluster pool in internal/experiments). Packets still referenced by
+// a previous run's pending events are abandoned to the garbage
+// collector.
 func (c *Cluster) Reset() {
 	c.nodes = c.nodes[:0]
 	c.specs = c.specs[:0]
@@ -114,18 +160,16 @@ func (c *Cluster) Reset() {
 	c.linkFrom = c.linkFrom[:0]
 	c.linkTo = c.linkTo[:0]
 	for id, fr := range c.flows {
-		if fr == nil {
-			continue
+		if fr != nil {
+			c.putFlowRec(fr)
+			c.flows[id] = nil
 		}
-		fr.route = fr.route[:0]
-		fr.revRoute = fr.revRoute[:0]
-		fr.sender, fr.receiver = nil, nil
-		fr.delivered = 0
-		c.frPool = append(c.frPool, fr)
-		c.flows[id] = nil
 	}
 	c.flows = c.flows[:0]
 	c.flowCount = 0
+	c.lcLo = 0
+	c.lcCount = c.lcCount[:0]
+	c.lcQuiet = nil
 	c.declaredRev = c.declaredRev[:0]
 	for id := range c.routes {
 		delete(c.routes, id)
@@ -209,6 +253,22 @@ func (c *Cluster) AddLink(from, to topology.NodeID, rate, delay float64, queue n
 	return topology.LinkID(len(c.specs) - 1)
 }
 
+// Dumbbell declares the paper's canonical topology on an empty
+// cluster: an ingress and an egress node joined by one bottleneck link,
+// which becomes the default route. Flows then attach with the plain
+// netsim.Network AttachFlow over an uncongested pure-delay reverse
+// path; cross traffic rides a sink flow (AttachSink) over the returned
+// bottleneck. Partition afterwards.
+func (c *Cluster) Dumbbell(rate, delay float64, queue netsim.Queue) topology.LinkID {
+	if len(c.nodes) != 0 {
+		panic("shard: Dumbbell needs an empty cluster")
+	}
+	ingress := c.AddNode("ingress")
+	id := c.AddLink(ingress, c.AddNode("egress"), rate, delay, queue)
+	c.SetDefaultRoute(id)
+	return id
+}
+
 // Link returns the materialized link behind an id (valid after
 // Partition).
 func (c *Cluster) Link(id topology.LinkID) *netsim.Link { return c.links[id] }
@@ -220,8 +280,7 @@ func (c *Cluster) Links() int { return len(c.specs) }
 // shard of its source node, where every Send on the link executes.
 // Fault plans (internal/fault) arm their timed events here, so a fault
 // manipulates its link from the same scheduler that serializes the
-// link's packets, on the serial and sharded engines alike. Valid after
-// Partition.
+// link's packets, at any shard count. Valid after Partition.
 func (c *Cluster) LinkSched(id topology.LinkID) *des.Scheduler {
 	c.mustPartitioned()
 	return &c.shards[c.linkShard[id]].sched
@@ -286,9 +345,17 @@ func (c *Cluster) checkReverse(fwd, rev []topology.LinkID) {
 	}
 }
 
-// SetReverseJitter enables reverse-path delay jitter, fraction
-// 0 <= j < 1. Flows attached afterwards draw from per-flow streams
-// seeded by topology.FlowJitterSeed — identical to the serial engine's.
+// SetReverseJitter enables reverse-path delay jitter with the given
+// fraction (0 <= j < 1) and seed: each reverse-path delivery delay is
+// scaled by a uniform factor in [1-j, 1+j]. Real acknowledgment streams
+// jitter at least this much; a perfectly periodic ack clock in a
+// deterministic simulator otherwise slots arrivals into queue vacancies
+// with unrealistic precision. Each flow attached afterwards draws from
+// its own stream seeded by topology.FlowJitterSeed(seed, flow), so a
+// flow's jitter sequence depends only on its own reverse traffic — not
+// on how its packets interleave with other flows', which is what keeps
+// the run identical at every shard count. Call it before attaching
+// flows.
 func (c *Cluster) SetReverseJitter(j float64, seed uint64) {
 	if j < 0 || j >= 1 {
 		panic("shard: reverse jitter outside [0,1)")
@@ -338,8 +405,11 @@ func (c *Cluster) mustPartitioned() {
 	}
 }
 
-// attach registers a flow's endpoints and delays, mirroring
-// topology.Network.attach plus endpoint shard placement.
+// attach registers a flow's endpoints and delays on its declared route
+// (SetRoute, falling back to SetDefaultRoute) and places it: the sender
+// lives on the shard of the route's first node, the receiver on the
+// shard of its last. A sink flow (nil endpoints) may not carry a
+// routed reverse path and never inherits the default one.
 func (c *Cluster) attach(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
 	c.mustPartitioned()
 	if fwdExtra < 0 || revDelay < 0 {
@@ -409,13 +479,15 @@ func (c *Cluster) ReserveFlows(max int) {
 // AttachLive registers a flow during a run, from an arrival event
 // executing on the shard that owns the route's first node. Unlike the
 // build-time attach it takes pre-resolved forward/reverse hops (the
-// route maps stay read-only while shards run), stores into a slot
-// reserved by ReserveFlows (the slice header stays immutable), and
-// builds a fresh record instead of popping the shared pool (two classes
-// homed on different shards may attach concurrently). Other shards
-// observe the new flow only through its packets, which cross shards no
-// earlier than the next window barrier — the barrier's happens-before
-// edge orders the store before every remote read.
+// route maps stay read-only while shards run) and stores into a slot
+// reserved by ReserveFlows (the slice header stays immutable). On a
+// one-domain partition the record comes from the flow-record pool that
+// DetachFlow refills, so steady-state churn attaches without
+// allocating; with several shards it is built fresh (two classes homed
+// on different shards may attach concurrently). Other shards observe
+// the new flow only through its packets, which cross shards no earlier
+// than the next window barrier — the barrier's happens-before edge
+// orders the store before every remote read.
 func (c *Cluster) AttachLive(flow int, sender, receiver netsim.Endpoint, fwdHops, revHops []topology.LinkID, fwdExtra, revDelay float64) {
 	if sender == nil || receiver == nil {
 		panic("shard: nil endpoint")
@@ -429,9 +501,14 @@ func (c *Cluster) AttachLive(flow int, sender, receiver netsim.Endpoint, fwdHops
 	if c.flows[flow] != nil {
 		panic(fmt.Sprintf("shard: duplicate flow id %d", flow))
 	}
-	fr := &flowRec{
-		route:    make([]*netsim.Link, 0, len(fwdHops)),
-		revRoute: make([]*netsim.Link, 0, len(revHops)),
+	var fr *flowRec
+	if c.k == 1 {
+		fr = c.getFlowRec()
+	} else {
+		fr = &flowRec{
+			route:    make([]*netsim.Link, 0, len(fwdHops)),
+			revRoute: make([]*netsim.Link, 0, len(revHops)),
+		}
 	}
 	for _, h := range fwdHops {
 		fr.route = append(fr.route, c.links[h])
@@ -485,6 +562,8 @@ func (c *Cluster) DeclareReverseChannel(hops []topology.LinkID, revDelay float64
 	c.declaredRev = append(c.declaredRev, revDelay)
 }
 
+// getFlowRec recycles a flow record (its route slices keep their
+// capacity) or allocates a fresh one.
 func (c *Cluster) getFlowRec() *flowRec {
 	if m := len(c.frPool); m > 0 {
 		fr := c.frPool[m-1]
@@ -494,9 +573,127 @@ func (c *Cluster) getFlowRec() *flowRec {
 	return &flowRec{}
 }
 
-// AttachFlow registers a flow's endpoints (cluster-level convenience;
-// normally endpoints attach through their sender shard's
-// netsim.Network surface).
+// putFlowRec clears a detached flow's record into the pool.
+func (c *Cluster) putFlowRec(fr *flowRec) {
+	fr.route = fr.route[:0]
+	fr.revRoute = fr.revRoute[:0]
+	fr.sender, fr.receiver = nil, nil
+	fr.delivered = 0
+	c.frPool = append(c.frPool, fr)
+}
+
+// Lifecycle is the churn engine's reclamation surface: per-flow
+// in-network packet accounting with a quiet callback, and the detach
+// itself.
+type Lifecycle interface {
+	// WatchFlows enables per-flow packet accounting for ids [lo, lo+count),
+	// invoking onQuiet each time a watched flow's count returns to zero.
+	WatchFlows(lo, count int, onQuiet func(flow int))
+	// DetachFlow removes a quiet flow and recycles its routing record.
+	DetachFlow(flow int)
+	// InFlight returns the watched flow's current in-network packet count.
+	InFlight(flow int) int
+}
+
+// Lifecycle returns the cluster's reclamation surface on a one-domain
+// partition and nil otherwise: with several shards a detach would be a
+// cross-shard write, so churn flows stay attached. Valid after
+// Partition.
+func (c *Cluster) Lifecycle() Lifecycle {
+	c.mustPartitioned()
+	if c.k != 1 {
+		return nil
+	}
+	return c
+}
+
+// WatchFlows enables per-flow in-network packet accounting for flow ids
+// in [lo, lo+count): every SendForward/SendReverse charges the packet
+// to its flow, every PutPacket discharges it, and a discharge that
+// empties the flow's account invokes onQuiet(flow) — the churn engine's
+// cue to reclaim a finished flow the moment its last packet leaves the
+// simulator. The accounting costs two bounds checks per packet on
+// watched ranges and a nil check otherwise. One-domain partitions only
+// (see Lifecycle).
+func (c *Cluster) WatchFlows(lo, count int, onQuiet func(flow int)) {
+	c.mustOneDomain("WatchFlows")
+	if onQuiet == nil || count <= 0 {
+		panic("shard: WatchFlows needs a callback and a positive range")
+	}
+	if c.lcQuiet != nil {
+		panic("shard: WatchFlows called twice")
+	}
+	c.lcLo = lo
+	if cap(c.lcCount) < count {
+		c.lcCount = make([]int32, count)
+	} else {
+		c.lcCount = c.lcCount[:count]
+		clear(c.lcCount)
+	}
+	c.lcQuiet = onQuiet
+}
+
+// InFlight returns the watched flow's current in-network packet count
+// (0 for flows outside the watched range or without accounting).
+func (c *Cluster) InFlight(flow int) int {
+	if i := flow - c.lcLo; c.lcQuiet != nil && i >= 0 && i < len(c.lcCount) {
+		return int(c.lcCount[i])
+	}
+	return 0
+}
+
+// DetachFlow removes a flow at simulation time and recycles its routing
+// record, so a departed session costs nothing once its last packet is
+// back in the freelist. The caller must only detach a quiet flow —
+// endpoints done, their timers expired or cancelled, and no packets of
+// the flow left inside the simulator; with WatchFlows accounting on the
+// last condition is asserted. Detaching mutates no scheduler or ledger
+// state, so reclaiming on one partition and not on another cannot
+// diverge their event trajectories. One-domain partitions only.
+func (c *Cluster) DetachFlow(flow int) {
+	c.mustOneDomain("DetachFlow")
+	fr := c.flowAt(flow)
+	if fr == nil {
+		panic(fmt.Sprintf("shard: DetachFlow on unattached flow %d", flow))
+	}
+	if n := c.InFlight(flow); n != 0 {
+		panic(fmt.Sprintf("shard: DetachFlow(%d) with %d packets still in the network", flow, n))
+	}
+	c.putFlowRec(fr)
+	c.flows[flow] = nil
+}
+
+func (c *Cluster) mustOneDomain(op string) {
+	c.mustPartitioned()
+	if c.k != 1 {
+		panic(fmt.Sprintf("shard: %s on a %d-shard partition (churn reclamation needs one domain)", op, c.k))
+	}
+}
+
+func (c *Cluster) lcCharge(flow int) {
+	if i := flow - c.lcLo; i >= 0 && i < len(c.lcCount) {
+		c.lcCount[i]++
+	}
+}
+
+func (c *Cluster) lcDischarge(flow int) {
+	if i := flow - c.lcLo; i >= 0 && i < len(c.lcCount) {
+		c.lcCount[i]--
+		if c.lcCount[i] == 0 {
+			c.lcQuiet(flow)
+		} else if c.lcCount[i] < 0 {
+			panic(fmt.Sprintf("shard: flow %d discharged below zero (PutPacket without a matching send)", flow))
+		}
+	}
+}
+
+// AttachFlow registers a flow's endpoints on its declared route
+// (cluster-level convenience; normally endpoints attach through their
+// sender shard's netsim.Network surface). fwdExtra is the one-way delay
+// from the last routed link's egress to the receiver. revDelay is the
+// full uncongested return delay from receiver to sender — unless the
+// flow has a routed reverse path, in which case it is the remaining
+// delay after the last reverse hop.
 func (c *Cluster) AttachFlow(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
 	if sender == nil || receiver == nil {
 		panic("shard: nil endpoint")
@@ -505,7 +702,10 @@ func (c *Cluster) AttachFlow(flow int, sender, receiver netsim.Endpoint, fwdExtr
 }
 
 // AttachSink registers a receiver-less flow over a route: its packets
-// are recycled at route end by whichever shard owns it.
+// are recycled at route end by whichever shard owns it. This is how
+// cross traffic is carried over a chosen sub-path. A sink flow has no
+// sender to return packets to, so declaring a reverse route for it is
+// rejected.
 func (c *Cluster) AttachSink(flow int, hops ...topology.LinkID) {
 	c.checkRoute(hops)
 	c.routes[flow] = append([]topology.LinkID(nil), hops...)
@@ -531,7 +731,10 @@ func (c *Cluster) returnToSender(s *Shard, fs *flowRec, p *netsim.Packet) {
 	s.emit(fs.senderShard, kindToSender, p, s.sched.Now()+delay)
 }
 
-// arriveReverse mirrors topology.Network.arriveReverse on shard s.
+// arriveReverse handles a reverse-path packet exiting a link on shard
+// s: forward it into the next hop of the flow's reverse route, or
+// return it to the sender past the last hop after the flow's remaining
+// reverse delay.
 func (c *Cluster) arriveReverse(s *Shard, fs *flowRec, p *netsim.Packet) {
 	if next := int(p.Hop) + 1; next < len(fs.revRoute) {
 		p.Hop = int32(next)
@@ -541,9 +744,10 @@ func (c *Cluster) arriveReverse(s *Shard, fs *flowRec, p *netsim.Packet) {
 	c.returnToSender(s, fs, p)
 }
 
-// arrive mirrors topology.Network.arrive on shard s: it runs in the
-// shard of the node the packet just reached, so the next hop's link —
-// owned by that same node's shard — is always local.
+// arrive handles a packet exiting a link: forward it into the next hop
+// of its route, or deliver it past the last hop. It runs in the shard
+// of the node the packet just reached, so the next hop's link — owned
+// by that same node's shard — is always local.
 func (c *Cluster) arrive(s *Shard, p *netsim.Packet) {
 	fs := c.flowAt(int(p.Flow))
 	if fs == nil {
@@ -574,8 +778,10 @@ func (c *Cluster) arrive(s *Shard, p *netsim.Packet) {
 	dv.tm = s.sched.After(fs.fwdExtra, dv.run)
 }
 
-// BaseRTT returns the no-queueing round-trip time for the flow, as
-// topology.Network.BaseRTT does.
+// BaseRTT returns the no-queueing round-trip time for the flow: the sum
+// of its routed links' propagation delays — forward and, when the
+// reverse path is routed, reverse — the extra forward delay and the
+// return delay (transmission times excluded).
 func (c *Cluster) BaseRTT(flow int) float64 {
 	fs := c.flowAt(flow)
 	if fs == nil {
@@ -592,7 +798,7 @@ func (c *Cluster) BaseRTT(flow int) float64 {
 }
 
 // Delivered returns the number of packets a flow's route carried to its
-// end.
+// end (whether consumed by a receiver or sunk).
 func (c *Cluster) Delivered(flow int) int64 {
 	if fs := c.flowAt(flow); fs != nil {
 		return fs.delivered
@@ -608,11 +814,10 @@ func (c *Cluster) Shards() int { return c.k }
 // first Run, or when the partition has a single shard).
 func (c *Cluster) Horizon() float64 { return c.horizon }
 
-// Fired returns the total events executed across all shards. On
-// identical trajectories it equals the serial engine's count: every
-// serial event maps to exactly one event on exactly one shard (a cut
-// link's delivery event becomes the destination shard's injection
-// event, one for one).
+// Fired returns the total events executed across all shards. It is
+// the same at every shard count: every event of the one-domain run maps
+// to exactly one event on exactly one shard (a cut link's delivery
+// event becomes the destination shard's injection event, one for one).
 func (c *Cluster) Fired() uint64 {
 	var total uint64
 	for _, s := range c.shards {
@@ -689,8 +894,8 @@ func (c *Cluster) Tracers() []*obs.Tracer {
 }
 
 // Pending sums the shards' live scheduled-event populations. At a
-// barrier-aligned instant it is executor-invariant: every serial event
-// maps to exactly one event on exactly one shard (see Fired).
+// barrier-aligned instant it is the same at every shard count (see
+// Fired).
 func (c *Cluster) Pending() int {
 	total := 0
 	for _, s := range c.shards {

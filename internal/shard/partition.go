@@ -30,7 +30,7 @@ import (
 //     the declared graph and k.
 //
 // The effective shard count (Shards) can come out lower than k when the
-// graph has fewer atoms.
+// graph has fewer atoms; k <= 1 gives the one-domain (serial) partition.
 func (c *Cluster) Partition(k int) {
 	if len(c.shards) > 0 {
 		panic("shard: Partition called twice")
@@ -43,13 +43,15 @@ func (c *Cluster) Partition(k int) {
 		panic("shard: Partition on an empty graph")
 	}
 
-	// Stage 1: union endpoints of zero-delay links.
-	parent := make([]int, n)
+	// Stage 1: union endpoints of zero-delay links. The smaller id
+	// always becomes the parent, so every atom's root is its smallest
+	// node.
+	parent := resize(c.parent, n)
+	c.parent = parent
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -68,71 +70,74 @@ func (c *Cluster) Partition(k int) {
 		}
 	}
 
-	// Atoms in order of their smallest node id, with weights.
-	weight := make([]float64, n)
+	// Atoms in order of their smallest node id, with weights. A node's
+	// root is never larger than the node, so scanning nodes in id order
+	// meets every root before the rest of its atom.
+	weight := resize(c.weight, n)
+	c.weight = weight
 	for i := range weight {
 		weight[i] = 1
 	}
 	for _, sp := range c.specs {
 		weight[sp.from]++
 	}
-	atomIndex := make(map[int]int)
-	var atomNodes [][]int
-	var atomWeight []float64
+	atomOf := resize(c.atomOf, n)
+	c.atomOf = atomOf
+	atomWeight := c.atomWeight[:0]
 	var total float64
 	for v := 0; v < n; v++ {
-		root := find(v)
-		ai, ok := atomIndex[root]
-		if !ok {
-			ai = len(atomNodes)
-			atomIndex[root] = ai
-			atomNodes = append(atomNodes, nil)
+		if root := find(v); root == v {
+			atomOf[v] = len(atomWeight)
 			atomWeight = append(atomWeight, 0)
+		} else {
+			atomOf[v] = atomOf[root]
 		}
-		atomNodes[ai] = append(atomNodes[ai], v)
-		atomWeight[ai] += weight[v]
+		atomWeight[atomOf[v]] += weight[v]
 		total += weight[v]
 	}
-	if k > len(atomNodes) {
-		k = len(atomNodes)
+	c.atomWeight = atomWeight
+	atoms := len(atomWeight)
+	if k > atoms {
+		k = atoms
 	}
 
 	// Stage 2: pack atoms into <= k contiguous segments. A segment
 	// closes once it reaches the ideal share, but never so greedily that
 	// the remaining atoms could not fill the remaining segments.
-	c.nodeShard = append(c.nodeShard[:0], make([]int, n)...)
+	atomShard := resize(c.atomShard, atoms)
+	c.atomShard = atomShard
 	target := total / float64(k)
 	seg, segWeight := 0, 0.0
-	for ai := range atomNodes {
-		remainingAtoms := len(atomNodes) - ai
+	for ai := range atomWeight {
+		remainingAtoms := atoms - ai
 		remainingSegs := k - seg
 		if segWeight > 0 && (segWeight >= target || remainingAtoms == remainingSegs) && seg < k-1 {
 			seg++
 			segWeight = 0
 		}
-		for _, v := range atomNodes[ai] {
-			c.nodeShard[v] = seg
-		}
+		atomShard[ai] = seg
 		segWeight += atomWeight[ai]
 	}
 	c.k = seg + 1
+	c.nodeShard = resize(c.nodeShard, n)
+	for v := range c.nodeShard {
+		c.nodeShard[v] = atomShard[atomOf[v]]
+	}
 
 	// Materialize shards and links. Each link lives on the shard of its
 	// source node; a link whose destination is elsewhere gets a Handoff
 	// that bundles the packet toward the destination shard with arrival
 	// time handoff-now + propagation delay.
 	for i := 0; i < c.k; i++ {
-		var s *Shard
 		if i < cap(c.shards) {
 			c.shards = c.shards[:i+1]
 			if c.shards[i] == nil {
-				c.shards[i] = &Shard{}
+				c.shards[i] = newShard()
 			}
-			s = c.shards[i]
 		} else {
-			s = &Shard{}
-			c.shards = append(c.shards, s)
+			c.shards = append(c.shards, newShard())
 		}
+		s := c.shards[i]
 		s.c = c
 		s.id = i
 		for parity := range s.out {
@@ -149,22 +154,38 @@ func (c *Cluster) Partition(k int) {
 		c.linkShard = append(c.linkShard, owner)
 		src := c.shards[owner]
 		l := netsim.NewLink(&src.sched, sp.rate, sp.delay, sp.queue)
-		l.Release = src.PutPacket
+		l.Release = src.releaseFn
 		if dst := c.nodeShard[sp.to]; dst != owner {
 			delay := sp.delay
-			dstID := dst
 			l.Deliver = func(p *netsim.Packet) {
 				panic("shard: Deliver on a cut link (Handoff owns the propagation stage)")
 			}
 			l.Handoff = func(p *netsim.Packet) {
-				src.emit(dstID, kindArrive, p, src.sched.Now()+delay)
+				src.emit(dst, kindArrive, p, src.sched.Now()+delay)
 			}
 		} else {
-			l.Deliver = func(p *netsim.Packet) { c.arrive(src, p) }
+			l.Deliver = src.arriveFn
 		}
 		src.links = append(src.links, l)
 		c.links = append(c.links, l)
 	}
+}
+
+// newShard allocates a shard with its link sinks bound.
+func newShard() *Shard {
+	s := &Shard{}
+	s.arriveFn = func(p *netsim.Packet) { s.c.arrive(s, p) }
+	s.releaseFn = s.PutPacket
+	return s
+}
+
+// resize returns s with length n, reusing its backing array when large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // seal computes the synchronization horizon on the first Run, once the

@@ -171,7 +171,7 @@ func (b *barrier) wait(budget time.Duration) bool {
 // progress (window, clock, pending events, ledgers) before waiting, and
 // a wait that exceeds the stall budget trips the barrier. Every
 // reachable driver then abandons the run, the cluster is poisoned
-// (never returned to an arena pool — a stuck driver may still hold it)
+// (never returned to a pool — a stuck driver may still hold it)
 // and runParallel panics with per-shard diagnostics instead of hanging;
 // the panic surfaces as a diagnosable job error through the runner's
 // recover. The stuck driver itself stays wherever it is stuck — its

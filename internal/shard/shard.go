@@ -1,7 +1,15 @@
-// Package shard executes one topology-style simulation space-parallel:
-// the node graph is partitioned into K domains, each domain owns a
-// private des.Scheduler (timing wheel) and packet freelist, and the
-// domains advance in lockstep through conservative lookahead windows.
+// Package shard is the packet-level network engine. It assembles the
+// netsim primitives (links, queues, endpoints) into network graphs —
+// nodes joined by directed links, per-flow static source routes across
+// any number of congested hops, per-flow round-trip accounting — and
+// executes one simulation of such a graph space-parallel: the node
+// graph is partitioned into K domains, each domain owns a private
+// des.Scheduler (timing wheel) and packet freelist, and the domains
+// advance in lockstep through conservative lookahead windows. The
+// paper's dumbbell is the two-node special case (Cluster.Dumbbell);
+// parking-lot chains, multi-bottleneck paths and routed reverse paths
+// are built from the same pieces. A partition with one domain is the
+// serial engine: one scheduler, no windows, no handoffs.
 //
 // # Partitioning rule
 //
@@ -35,13 +43,13 @@
 // causal tie-break key (des.AtOrigin). Within a shard, simultaneous
 // events fire in (origin, scheduling-seq) order, so an injected arrival
 // that lands on the exact instant of a window-local event keeps the
-// position its emission time would have earned it on a serial engine —
+// position its emission time would have earned it on a one-domain run —
 // such ties are systematic, not exotic, whenever link rates put
 // serialization times on a common float lattice. Events are therefore
 // totally ordered by (time, origin, src-shard, seq) — independent of
-// wall-clock interleaving — and the run is bit-identical to the serial
-// execution of the same graph, at any shard count, whether the shards
-// run on one goroutine (GOMAXPROCS=1) or K.
+// wall-clock interleaving — and the run is bit-identical to the
+// one-domain execution of the same graph, at any shard count, whether
+// the shards run on one goroutine (GOMAXPROCS=1) or K.
 package shard
 
 import (
@@ -56,17 +64,28 @@ import (
 	"repro/internal/rng"
 )
 
-// flowRec mirrors topology's per-flow routing entry, extended with the
-// flow's endpoint shard placement.
+// flowRec is the per-flow routing entry: the forward route, the
+// optional routed reverse path, the terminal delays, the endpoints and
+// their shard placement.
 type flowRec struct {
-	route     []*netsim.Link
+	route []*netsim.Link
+	// revRoute, when non-empty, carries the flow's reverse packets hop
+	// by hop through real queues; revDelay then becomes the remaining
+	// pure delay after the last reverse hop. Empty keeps the pure-delay
+	// reverse path (length, not nil-ness, is the discriminator: pooled
+	// records recycle their slices at zero length).
 	revRoute  []*netsim.Link
 	fwdExtra  float64
 	revDelay  float64
 	sender    netsim.Endpoint
 	receiver  netsim.Endpoint
 	delivered int64
-	jitter    rng.RNG
+	// jitter is the flow's private reverse-jitter stream, seeded from
+	// (cluster jitter seed, flow id) at attach time. Per-flow streams —
+	// rather than one network-wide RNG consumed in global event order —
+	// make each flow's jitter sequence independent of event interleaving
+	// across flows and shards.
+	jitter rng.RNG
 
 	// senderShard is where the sender endpoint lives (the shard of the
 	// forward route's first node); returnToSender targets it.
@@ -82,7 +101,7 @@ type flowRec struct {
 // arrival with it as the causal tie-break key (des.AtOrigin), so an
 // injected event that shares its exact firing instant with local events
 // fires in the position its emission time would have earned it on a
-// serial engine.
+// one-domain run.
 type message struct {
 	at     float64
 	origin float64
@@ -186,6 +205,12 @@ type Shard struct {
 	pool  []*netsim.Packet
 	dpool []*delivery
 	ipool []*injection
+
+	// arriveFn and releaseFn are the Deliver and Release sinks of the
+	// shard's uncut links, bound once when the shard is created so a
+	// pooled cluster materializes its links without allocating closures.
+	arriveFn  func(*netsim.Packet)
+	releaseFn func(*netsim.Packet)
 
 	// liveDel / liveInj index the pending deliveries and injections for
 	// the checkpoint layer (unordered; removal swap-fills).
@@ -318,21 +343,31 @@ func (s *Shard) GetPacket() *netsim.Packet {
 }
 
 // PutPacket implements netsim.Network against the shard's freelist.
+// Callers normally never need it — the cluster releases packets itself
+// after delivery and on drops — but sources that abandon a packet
+// before sending may.
 func (s *Shard) PutPacket(p *netsim.Packet) {
 	if p == nil {
 		return
 	}
 	s.returned++
 	s.pool = append(s.pool, p)
+	if c := s.c; c.lcQuiet != nil {
+		c.lcDischarge(int(p.Flow))
+	}
 }
 
 // SendForward implements netsim.Network: the packet enters the first
 // link of its flow's route, which the caller's shard owns (senders are
 // placed on the shard of their route's first node).
 func (s *Shard) SendForward(p *netsim.Packet) {
-	fs := s.c.flowAt(int(p.Flow))
+	c := s.c
+	fs := c.flowAt(int(p.Flow))
 	if fs == nil {
-		panic(fmt.Sprintf("shard: forward packet for unrouted flow %d (no default-link fallback under sharding)", p.Flow))
+		panic(fmt.Sprintf("shard: forward packet for unattached flow %d", p.Flow))
+	}
+	if c.lcQuiet != nil {
+		c.lcCharge(int(p.Flow))
 	}
 	p.Hop = 0
 	fs.route[0].Send(p)
@@ -346,6 +381,9 @@ func (s *Shard) SendReverse(p *netsim.Packet) {
 	fs := s.c.flowAt(int(p.Flow))
 	if fs == nil || fs.sender == nil {
 		panic(fmt.Sprintf("shard: reverse packet for unknown flow %d", p.Flow))
+	}
+	if s.c.lcQuiet != nil {
+		s.c.lcCharge(int(p.Flow))
 	}
 	if len(fs.revRoute) > 0 {
 		p.Rev = true
@@ -377,7 +415,8 @@ func (s *Shard) InNetwork() int {
 	return total
 }
 
-// getDelivery mirrors topology's delivery pooling.
+// getDelivery draws a pending-delivery record from the shard's pool and
+// registers it as live.
 func (s *Shard) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool) *delivery {
 	var dv *delivery
 	if m := len(s.dpool); m > 0 {

@@ -3,24 +3,12 @@ package shard_test
 import (
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
 )
-
-// builder is the build surface topology.Network and shard.Cluster
-// share, so one scenario definition drives both engines.
-type builder interface {
-	AddNode(name string) topology.NodeID
-	AddLink(from, to topology.NodeID, rate, delay float64, queue netsim.Queue) topology.LinkID
-	SetDefaultRoute(hops ...topology.LinkID)
-	SetReverseJitter(j float64, seed uint64)
-	AttachSink(flow int, hops ...topology.LinkID)
-	SetRoute(flow int, hops ...topology.LinkID)
-}
 
 // chainSpec is a 4-node, 3-hop chain with a tight middle queue (to
 // force drops, including on cut links when partitioned), long TFRC and
@@ -32,7 +20,7 @@ const (
 	chainDur   = 8.0
 )
 
-func buildChain(b builder) []topology.LinkID {
+func buildChain(b *shard.Cluster) []topology.LinkID {
 	n0 := b.AddNode("n0")
 	n1 := b.AddNode("n1")
 	n2 := b.AddNode("n2")
@@ -57,49 +45,15 @@ type runResult struct {
 	fired uint64
 }
 
-// runSerial executes the chain on the serial engine.
+// runSerial executes the chain on a one-domain partition: the serial
+// engine every sharded run must reproduce.
 func runSerial(t *testing.T) runResult {
 	t.Helper()
-	var sched des.Scheduler
-	net := topology.New(&sched)
-	hops := buildChain(net)
-	var tf []*tfrc.Sender
-	var tc []*tcp.Sender
-	for f := 0; f < 2; f++ {
-		cfg := tfrc.DefaultConfig()
-		cfg.Seed = uint64(1000 + f)
-		snd, _ := tfrc.NewFlow(&sched, net, 1+f, cfg, 0.005, 0.02)
-		sched.At(0.05*float64(f), snd.Start)
-		tf = append(tf, snd)
+	res, c := runSharded(t, 1, false)
+	if c.Shards() != 1 {
+		t.Fatalf("k=1 produced %d shards", c.Shards())
 	}
-	for f := 0; f < 2; f++ {
-		snd, _ := tcp.NewFlow(&sched, net, 10+f, tcp.DefaultConfig(), 0.005, 0.02)
-		sched.At(0.03*float64(f)+0.01, snd.Start)
-		tc = append(tc, snd)
-	}
-	xsnd, _ := tcp.NewFlow(&sched, net, 40, tcp.DefaultConfig(), 0, 0.015)
-	sched.At(0.02, xsnd.Start)
-	net.AttachSink(50, hops[1], hops[2])
-	ct := netsim.NewCrossTraffic(&sched, net, 50, chainRate/4, 10, 1.5, 0.05, 1000, 7)
-	sched.At(0.1, ct.Start)
-	sched.RunUntil(chainDur)
-	res := runResult{fired: sched.Fired()}
-	for i, snd := range tf {
-		res.flows = append(res.flows, flowStats{
-			throughput: snd.Stats().Throughput,
-			lossRate:   snd.Stats().LossEventRate,
-			delivered:  net.Delivered(1 + i),
-		})
-	}
-	for i, snd := range tc {
-		st := snd.Stats()
-		res.flows = append(res.flows, flowStats{
-			throughput: st.Throughput,
-			lossRate:   st.LossEventRate,
-			delivered:  net.Delivered(10 + i),
-		})
-	}
-	if err := net.CheckLeaks(); err != nil {
+	if err := c.CheckLeaks(); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -169,13 +123,13 @@ func requireEqual(t *testing.T, label string, serial, sharded runResult) {
 }
 
 // TestSerialEquivalence is the core determinism contract: the sharded
-// execution reproduces the serial engine bit for bit — throughput,
+// execution reproduces the one-domain run bit for bit — throughput,
 // loss-event rates, per-flow deliveries and the total event count — at
 // every shard count, with drops happening on the tight middle hop
 // (which becomes a cut link at k >= 2).
 func TestSerialEquivalence(t *testing.T) {
 	serial := runSerial(t)
-	for _, k := range []int{1, 2, 3, 4} {
+	for _, k := range []int{2, 3, 4} {
 		res, c := runSharded(t, k, false)
 		requireEqual(t, "sequential", serial, res)
 		if err := c.CheckLeaks(); err != nil {
@@ -250,7 +204,7 @@ func TestZeroDelayColocation(t *testing.T) {
 	}
 }
 
-// TestClusterReset checks the arena property: a cluster Reset and
+// TestClusterReset checks the pooling property: a cluster Reset and
 // rebuilt in place reproduces a fresh cluster exactly.
 func TestClusterReset(t *testing.T) {
 	fresh, _ := runSharded(t, 2, false)
@@ -320,14 +274,17 @@ func TestClusterReset(t *testing.T) {
 // TestPhaseBoundaries checks that multi-phase driving (warmup, reset,
 // measure — the experiments pattern) stays serial-identical: the phase
 // boundary is inclusive like des.RunUntil, and stats read between Run
-// calls observe a barrier-aligned cluster.
+// calls observe a barrier-aligned cluster. The reference drives the
+// one-domain partition's scheduler directly.
 func TestPhaseBoundaries(t *testing.T) {
-	var sched des.Scheduler
-	net := topology.New(&sched)
+	net := shard.New()
 	buildChain(net)
+	net.Partition(1)
+	dom := net.Shard(0)
+	sched := dom.Sched()
 	cfg := tfrc.DefaultConfig()
 	cfg.Seed = 4242
-	snd, _ := tfrc.NewFlow(&sched, net, 1, cfg, 0.005, 0.02)
+	snd, _ := tfrc.NewFlow(sched, dom, 1, cfg, 0.005, 0.02)
 	sched.At(0, snd.Start)
 	sched.RunUntil(2)
 	snd.ResetStats()
@@ -349,4 +306,67 @@ func TestPhaseBoundaries(t *testing.T) {
 	if got := snd2.Stats().Throughput; got != want {
 		t.Fatalf("phase-split throughput: sharded %v, serial %v", got, want)
 	}
+}
+
+// TestLifecycleNeedsOneDomain pins where churn reclamation lives: a
+// one-domain partition exposes the lifecycle — per-flow in-network
+// accounting, a quiet callback, and a detach that refuses flows with
+// packets still inside — while a multi-shard partition exposes none
+// and its detach surface refuses outright.
+func TestLifecycleNeedsOneDomain(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", what)
+			}
+		}()
+		fn()
+	}
+	nop := netsim.EndpointFunc(func(*netsim.Packet) {})
+
+	c := shard.New()
+	hops := buildChain(c)
+	c.Partition(1)
+	lc := c.Lifecycle()
+	if lc == nil {
+		t.Fatal("one-domain partition has no lifecycle")
+	}
+	c.ReserveFlows(70)
+	var quiet []int
+	lc.WatchFlows(60, 10, func(flow int) { quiet = append(quiet, flow) })
+	c.AttachLive(60, nop, nop, hops, nil, 0, 0.01)
+	s := c.Shard(0)
+	p := s.GetPacket()
+	p.Flow = 60
+	p.Size = 1000
+	s.SendForward(p)
+	if got := lc.InFlight(60); got != 1 {
+		t.Fatalf("in-flight count %d after one send, want 1", got)
+	}
+	mustPanic("detach with a packet inside", func() { lc.DetachFlow(60) })
+	c.Run(1)
+	if lc.InFlight(60) != 0 || len(quiet) != 1 || quiet[0] != 60 {
+		t.Fatalf("after delivery: in-flight %d, quiet callbacks %v", lc.InFlight(60), quiet)
+	}
+	lc.DetachFlow(60)
+	if c.Delivered(60) != 0 {
+		t.Fatal("detached flow still attached")
+	}
+	c.AttachLive(60, nop, nop, hops, nil, 0, 0.01) // the slot is free again
+	if err := c.CheckLeaks(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := shard.New()
+	buildChain(c2)
+	c2.Partition(2)
+	if c2.Shards() != 2 {
+		t.Fatalf("chain split into %d shards, want 2", c2.Shards())
+	}
+	if c2.Lifecycle() != nil {
+		t.Fatal("multi-shard partition exposes a lifecycle")
+	}
+	mustPanic("WatchFlows on two shards", func() { c2.WatchFlows(60, 10, func(int) {}) })
+	mustPanic("DetachFlow on two shards", func() { c2.DetachFlow(1) })
 }

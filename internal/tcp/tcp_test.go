@@ -3,24 +3,38 @@ package tcp
 import (
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/rng"
-	"repro/internal/topology"
+	"repro/internal/shard"
 )
 
+// dumbbell is a one-domain network around one bottleneck link: the
+// embedded shard is both endpoints' netsim.Network and its scheduler
+// theirs.
+type dumbbell struct {
+	*shard.Shard
+	c          *shard.Cluster
+	Bottleneck *netsim.Link
+}
+
+func newDumbbell(rate, delay float64, q netsim.Queue) dumbbell {
+	c := shard.New()
+	id := c.Dumbbell(rate, delay, q)
+	c.Partition(1)
+	return dumbbell{Shard: c.Shard(0), c: c, Bottleneck: c.Link(id)}
+}
+
 // buildDumbbell returns a dumbbell with a DropTail bottleneck of the
-// given rate (bytes/s), one-way propagation delay, and buffer packets.
-func buildDumbbell(s *des.Scheduler, rate, delay float64, buffer int) *topology.Dumbbell {
-	link := netsim.NewLink(s, rate, delay, netsim.NewDropTail(buffer))
-	return topology.NewDumbbell(s, link)
+// given rate, delay and buffer.
+func buildDumbbell(rate, delay float64, buffer int) dumbbell {
+	return newDumbbell(rate, delay, netsim.NewDropTail(buffer))
 }
 
 func TestSingleFlowFillsLink(t *testing.T) {
-	var s des.Scheduler
 	// 10 Mb/s = 1.25e6 B/s, 10 ms one way, buffer 64.
-	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd, rcv := NewFlow(&s, net, 1, DefaultConfig(), 0.0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 64)
+	s := net.Sched()
+	snd, rcv := NewFlow(s, net, 1, DefaultConfig(), 0.0, 0.015)
 	snd.Start()
 	s.RunUntil(20)
 	snd.ResetStats()
@@ -41,8 +55,8 @@ func TestSingleFlowFillsLink(t *testing.T) {
 		t.Fatal("receiver got nothing")
 	}
 	// RTT estimate includes queueing: at least the base RTT.
-	if st.MeanRTT < net.BaseRTT(1) {
-		t.Fatalf("mean RTT %v below base %v", st.MeanRTT, net.BaseRTT(1))
+	if st.MeanRTT < net.c.BaseRTT(1) {
+		t.Fatalf("mean RTT %v below base %v", st.MeanRTT, net.c.BaseRTT(1))
 	}
 }
 
@@ -51,13 +65,13 @@ func TestSawtoothLossEventRate(t *testing.T) {
 	// should scale like 1/throughput² (the AIMD relation behind
 	// Claim 4). Doubling the capacity should cut p by roughly 4.
 	measure := func(rate float64) (p, x float64) {
-		var s des.Scheduler
 		// Scale the buffer with the bandwidth-delay product so the whole
 		// window (BDP + buffer) scales with capacity, as the law assumes.
 		rtt := 0.04 + 0.045
 		bdp := int(rate / 1000 * rtt)
-		net := buildDumbbell(&s, rate, 0.04, bdp)
-		snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.045)
+		net := buildDumbbell(rate, 0.04, bdp)
+		s := net.Sched()
+		snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.045)
 		snd.Start()
 		s.RunUntil(30)
 		snd.ResetStats()
@@ -77,10 +91,10 @@ func TestSawtoothLossEventRate(t *testing.T) {
 }
 
 func TestTwoFlowsShareFairly(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd1, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
-	snd2, _ := NewFlow(&s, net, 2, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 64)
+	s := net.Sched()
+	snd1, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
+	snd2, _ := NewFlow(s, net, 2, DefaultConfig(), 0, 0.015)
 	snd1.Start()
 	// Stagger the second start to break phase effects.
 	s.At(0.37, snd2.Start)
@@ -104,9 +118,9 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 }
 
 func TestFastRetransmitRecoversWithoutTimeout(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd, rcv := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 64)
+	s := net.Sched()
+	snd, rcv := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	s.RunUntil(60)
 	st := snd.Stats()
@@ -121,22 +135,22 @@ func TestFastRetransmitRecoversWithoutTimeout(t *testing.T) {
 }
 
 func TestRTTEstimate(t *testing.T) {
-	var s des.Scheduler
 	// Large buffer and modest rate: queueing small early on.
-	net := buildDumbbell(&s, 1.25e6, 0.02, 200)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0.005, 0.025)
+	net := buildDumbbell(1.25e6, 0.02, 200)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0.005, 0.025)
 	snd.Start()
 	s.RunUntil(2)
-	base := net.BaseRTT(1) // 0.02+0.005+0.025 = 0.05
+	base := net.c.BaseRTT(1) // 0.02+0.005+0.025 = 0.05
 	if snd.SRTT() < base || snd.SRTT() > base+0.3 {
 		t.Fatalf("srtt = %v, base = %v", snd.SRTT(), base)
 	}
 }
 
 func TestCwndGrowsInSlowStartThenCA(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e7, 0.02, 1000)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.02)
+	net := buildDumbbell(1.25e7, 0.02, 1000)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.02)
 	snd.Start()
 	s.RunUntil(0.5)
 	if snd.Cwnd() <= DefaultConfig().InitialCwnd {
@@ -145,10 +159,10 @@ func TestCwndGrowsInSlowStartThenCA(t *testing.T) {
 }
 
 func TestTimeoutPathOnDeadLink(t *testing.T) {
-	var s des.Scheduler
 	// Tiny buffer and tiny rate: heavy losses force timeouts.
-	net := buildDumbbell(&s, 5e3, 0.01, 2)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(5e3, 0.01, 2)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	s.RunUntil(120)
 	st := snd.Stats()
@@ -162,9 +176,9 @@ func TestTimeoutPathOnDeadLink(t *testing.T) {
 }
 
 func TestStatsWindowing(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 64)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	s.RunUntil(10)
 	before := snd.Stats()
@@ -189,12 +203,11 @@ func TestStatsWindowing(t *testing.T) {
 }
 
 func TestReceiverDelayedAcks(t *testing.T) {
-	var s des.Scheduler
-	link := netsim.NewLink(&s, 1e9, 0.0, netsim.NewDropTail(100))
-	net := topology.NewDumbbell(&s, link)
+	net := newDumbbell(1e9, 0.0, netsim.NewDropTail(100))
+	s := net.Sched()
 	acks := 0
 	snd := netsim.EndpointFunc(func(p *netsim.Packet) { acks++ })
-	rcv := NewReceiver(&s, net, 1, DefaultConfig())
+	rcv := NewReceiver(s, net, 1, DefaultConfig())
 	net.AttachFlow(1, snd, rcv, 0, 0)
 	// Four in-order segments with b=2: exactly 2 ACKs.
 	for i := 0; i < 4; i++ {
@@ -213,9 +226,9 @@ func TestReceiverDelayedAcks(t *testing.T) {
 }
 
 func TestReceiverIgnoresNonData(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1e6, 0, 10)
-	rcv := NewReceiver(&s, net, 1, DefaultConfig())
+	net := buildDumbbell(1e6, 0, 10)
+	s := net.Sched()
+	rcv := NewReceiver(s, net, 1, DefaultConfig())
 	rcv.Receive(&netsim.Packet{Kind: netsim.Ack})
 	if rcv.PacketsReceived != 0 {
 		t.Fatal("non-data counted")
@@ -223,9 +236,9 @@ func TestReceiverIgnoresNonData(t *testing.T) {
 }
 
 func TestSenderIgnoresNonAck(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1e6, 0, 10)
-	snd := NewSender(&s, net, 1, DefaultConfig())
+	net := buildDumbbell(1e6, 0, 10)
+	s := net.Sched()
+	snd := NewSender(s, net, 1, DefaultConfig())
 	snd.Receive(&netsim.Packet{Kind: netsim.Data})
 	if snd.Stats().PacketsSent != 0 {
 		t.Fatal("non-ack processed")
@@ -234,10 +247,10 @@ func TestSenderIgnoresNonAck(t *testing.T) {
 
 func TestHeterogeneousRTTs(t *testing.T) {
 	// A shorter-RTT flow should get at least as much throughput.
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.005, 64)
-	short, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.005)
-	long, _ := NewFlow(&s, net, 2, DefaultConfig(), 0.04, 0.045)
+	net := buildDumbbell(1.25e6, 0.005, 64)
+	s := net.Sched()
+	short, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.005)
+	long, _ := NewFlow(s, net, 2, DefaultConfig(), 0.04, 0.045)
 	short.Start()
 	s.At(0.13, long.Start)
 	s.RunUntil(30)
@@ -251,16 +264,16 @@ func TestHeterogeneousRTTs(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1e6, 0, 10)
+	net := buildDumbbell(1e6, 0, 10)
+	s := net.Sched()
 	cases := []func(){
 		func() { NewSender(nil, net, 1, DefaultConfig()) },
-		func() { NewSender(&s, nil, 1, DefaultConfig()) },
-		func() { NewSender(&s, net, 1, Config{}) },
-		func() { NewReceiver(&s, net, 1, Config{SegSize: -1}) },
+		func() { NewSender(s, nil, 1, DefaultConfig()) },
+		func() { NewSender(s, net, 1, Config{}) },
+		func() { NewReceiver(s, net, 1, Config{SegSize: -1}) },
 		func() {
-			snd := NewSender(&s, net, 5, DefaultConfig())
-			rcv := NewReceiver(&s, net, 5, DefaultConfig())
+			snd := NewSender(s, net, 5, DefaultConfig())
+			rcv := NewReceiver(s, net, 5, DefaultConfig())
 			net.AttachFlow(5, snd, rcv, 0, 0)
 			snd.Start()
 			snd.Start()
@@ -280,12 +293,12 @@ func TestPanics(t *testing.T) {
 
 func TestManyFlowsStable(t *testing.T) {
 	// Smoke test at N = 8 pairs: everyone gets some share; no panics.
-	var s des.Scheduler
 	r := rng.New(17)
-	net := buildDumbbell(&s, 1.25e6, 0.01, 100)
+	net := buildDumbbell(1.25e6, 0.01, 100)
+	s := net.Sched()
 	senders := make([]*Sender, 8)
 	for i := range senders {
-		snd, _ := NewFlow(&s, net, i, DefaultConfig(), 0, 0.015)
+		snd, _ := NewFlow(s, net, i, DefaultConfig(), 0, 0.015)
 		senders[i] = snd
 		start := r.Float64()
 		s.At(start, snd.Start)
@@ -319,9 +332,9 @@ func TestThroughputScalesInverseRTT(t *testing.T) {
 	// sim-level property: doubling all path delays reduces a lone flow's
 	// throughput when the buffer is small relative to the BDP.
 	measure := func(delay float64) float64 {
-		var s des.Scheduler
-		net := buildDumbbell(&s, 2.5e6, delay, 32)
-		snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, delay)
+		net := buildDumbbell(2.5e6, delay, 32)
+		s := net.Sched()
+		snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, delay)
 		snd.Start()
 		s.RunUntil(20)
 		snd.ResetStats()

@@ -4,31 +4,43 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/formula"
 	"repro/internal/netsim"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/tcp"
-	"repro/internal/topology"
 )
 
 func paramsForRTT(rtt float64) formula.Params { return formula.ParamsForRTT(rtt) }
 
-func buildDumbbell(s *des.Scheduler, rate, delay float64, buffer int) *topology.Dumbbell {
-	link := netsim.NewLink(s, rate, delay, netsim.NewDropTail(buffer))
-	return topology.NewDumbbell(s, link)
+// dumbbell is a one-domain network around one bottleneck link: the
+// embedded shard is both endpoints' netsim.Network and its scheduler
+// theirs.
+type dumbbell struct {
+	*shard.Shard
+	c          *shard.Cluster
+	Bottleneck *netsim.Link
 }
 
-func buildREDDumbbell(s *des.Scheduler, rate, delay float64, bdpPkts float64, seed uint64) *topology.Dumbbell {
-	q := netsim.NewRED(netsim.PaperRED(bdpPkts), rate, rng.New(seed))
-	link := netsim.NewLink(s, rate, delay, q)
-	return topology.NewDumbbell(s, link)
+func newDumbbell(rate, delay float64, q netsim.Queue) dumbbell {
+	c := shard.New()
+	id := c.Dumbbell(rate, delay, q)
+	c.Partition(1)
+	return dumbbell{Shard: c.Shard(0), c: c, Bottleneck: c.Link(id)}
+}
+
+func buildDumbbell(rate, delay float64, buffer int) dumbbell {
+	return newDumbbell(rate, delay, netsim.NewDropTail(buffer))
+}
+
+func buildREDDumbbell(rate, delay float64, bdpPkts float64, seed uint64) dumbbell {
+	return newDumbbell(rate, delay, netsim.NewRED(netsim.PaperRED(bdpPkts), rate, rng.New(seed)))
 }
 
 func TestSingleFlowFillsLink(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd, rcv := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 64)
+	s := net.Sched()
+	snd, rcv := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	s.RunUntil(30)
 	snd.ResetStats()
@@ -49,9 +61,9 @@ func TestSingleFlowFillsLink(t *testing.T) {
 }
 
 func TestSlowStartRampsUp(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 500)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 500)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	initial := snd.Rate()
 	s.RunUntil(3)
@@ -61,12 +73,12 @@ func TestSlowStartRampsUp(t *testing.T) {
 }
 
 func TestRTTEstimate(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.02, 400)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0.005, 0.025)
+	net := buildDumbbell(1.25e6, 0.02, 400)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0.005, 0.025)
 	snd.Start()
 	s.RunUntil(5)
-	base := net.BaseRTT(1)
+	base := net.c.BaseRTT(1)
 	if snd.SRTT() < base*0.9 || snd.SRTT() > base+0.4 {
 		t.Fatalf("srtt = %v, base = %v", snd.SRTT(), base)
 	}
@@ -75,10 +87,10 @@ func TestRTTEstimate(t *testing.T) {
 func TestPEstimateTracksBernoulliLoss(t *testing.T) {
 	// Behind a RED-free DropTail there is no easy fixed p; instead use a
 	// lossy middlebox: wrap the deliver hook to drop ~2% of data packets.
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e7, 0.02, 10000) // no congestion loss
+	net := buildDumbbell(1.25e7, 0.02, 10000) // no congestion loss
+	s := net.Sched()
 	cfg := DefaultConfig()
-	snd, rcv := NewFlow(&s, net, 1, cfg, 0, 0.025)
+	snd, rcv := NewFlow(s, net, 1, cfg, 0, 0.025)
 	// Interpose a Bernoulli dropper on the bottleneck's deliver path.
 	inner := net.Bottleneck.Deliver
 	r := rng.New(5)
@@ -119,10 +131,10 @@ func TestThroughputMatchesFormulaUnderRandomLoss(t *testing.T) {
 	// With a fixed Bernoulli drop probability and no queueing, TFRC's
 	// long-run rate should be near f(p, rtt) evaluated at its own
 	// measured p — i.e. roughly conservative (Claim 1 regime).
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e8, 0.04, 100000)
+	net := buildDumbbell(1.25e8, 0.04, 100000)
+	s := net.Sched()
 	cfg := DefaultConfig()
-	snd, _ := NewFlow(&s, net, 1, cfg, 0, 0.045)
+	snd, _ := NewFlow(s, net, 1, cfg, 0, 0.045)
 	inner := net.Bottleneck.Deliver
 	r := rng.New(9)
 	net.Bottleneck.Deliver = func(p *netsim.Packet) {
@@ -153,14 +165,14 @@ func TestThroughputMatchesFormulaUnderRandomLoss(t *testing.T) {
 func TestTFRCSharesWithTCP(t *testing.T) {
 	// One TFRC and one TCP on a RED bottleneck: neither starves, and
 	// their throughput ratio is within the broad band the paper reports.
-	var s des.Scheduler
 	rate := 1.25e6
 	rtt := 0.05
 	bdp := rate / 1000 * rtt
-	net := buildREDDumbbell(&s, rate, 0.01, bdp, 77)
-	net.SetReverseJitter(0.2, 13)
-	tsnd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
-	csnd, _ := tcp.NewFlow(&s, net, 2, tcp.DefaultConfig(), 0, 0.015)
+	net := buildREDDumbbell(rate, 0.01, bdp, 77)
+	s := net.Sched()
+	net.c.SetReverseJitter(0.2, 13)
+	tsnd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
+	csnd, _ := tcp.NewFlow(s, net, 2, tcp.DefaultConfig(), 0, 0.015)
 	tsnd.Start()
 	s.At(0.21, csnd.Start)
 	s.RunUntil(50)
@@ -184,11 +196,11 @@ func TestClaim4LossEventRateOrdering(t *testing.T) {
 	// timing noise; without it the deterministic ack clock slots TCP
 	// arrivals into queue vacancies with unphysical precision (see
 	// DESIGN.md).
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 80)
-	net.SetReverseJitter(0.2, 7)
-	tsnd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
-	csnd, _ := tcp.NewFlow(&s, net, 2, tcp.DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 80)
+	s := net.Sched()
+	net.c.SetReverseJitter(0.2, 7)
+	tsnd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
+	csnd, _ := tcp.NewFlow(s, net, 2, tcp.DefaultConfig(), 0, 0.015)
 	tsnd.Start()
 	s.At(0.33, csnd.Start)
 	s.RunUntil(50)
@@ -210,11 +222,11 @@ func TestComprehensiveToggle(t *testing.T) {
 	// to long loss-free periods: with it on, the estimate decays during
 	// the open interval; with it off, it is frozen between events.
 	run := func(comprehensive bool) float64 {
-		var s des.Scheduler
-		net := buildDumbbell(&s, 1.25e7, 0.02, 10000)
+		net := buildDumbbell(1.25e7, 0.02, 10000)
+		s := net.Sched()
 		cfg := DefaultConfig()
 		cfg.Comprehensive = comprehensive
-		snd, _ := NewFlow(&s, net, 1, cfg, 0, 0.025)
+		snd, _ := NewFlow(s, net, 1, cfg, 0, 0.025)
 		inner := net.Bottleneck.Deliver
 		r := rng.New(31)
 		net.Bottleneck.Deliver = func(p *netsim.Packet) {
@@ -239,9 +251,9 @@ func TestComprehensiveToggle(t *testing.T) {
 }
 
 func TestNoFeedbackTimerHalvesRate(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 64)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	s.RunUntil(5)
 	rateBefore := snd.Rate()
@@ -255,7 +267,7 @@ func TestNoFeedbackTimerHalvesRate(t *testing.T) {
 
 // blackholeNet drops every reverse-path packet: the severed-feedback
 // extreme of a routed congested reverse path.
-type blackholeNet struct{ *topology.Dumbbell }
+type blackholeNet struct{ dumbbell }
 
 func (b blackholeNet) SendReverse(p *netsim.Packet) { b.PutPacket(p) }
 
@@ -278,9 +290,9 @@ func TestNoFeedbackHalvingSchedule(t *testing.T) {
 		{6, floor}, // pinned at the floor, halvings keep counting
 	}
 	for _, tc := range cases {
-		var s des.Scheduler
-		net := blackholeNet{buildDumbbell(&s, 1.25e6, 0.01, 64)}
-		snd, _ := NewFlow(&s, net, 1, cfg, 0, 0.015)
+		net := blackholeNet{buildDumbbell(1.25e6, 0.01, 64)}
+		s := net.Sched()
+		snd, _ := NewFlow(s, net, 1, cfg, 0, 0.015)
 		snd.Start()
 		// Expirations land at exactly 2, 4, 6, ... seconds; sample just
 		// after the tc.intervals-th one.
@@ -302,9 +314,9 @@ func TestNoFeedbackHalvingSchedule(t *testing.T) {
 // Feedback that resumes after a silent stretch restarts the control
 // loop: the sender leaves the floor and the stats count the report.
 func TestNoFeedbackRecovery(t *testing.T) {
-	var s des.Scheduler
-	d := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd, _ := NewFlow(&s, blackholeNet{d}, 1, DefaultConfig(), 0, 0.015)
+	d := buildDumbbell(1.25e6, 0.01, 64)
+	s := d.Sched()
+	snd, _ := NewFlow(s, blackholeNet{d}, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	s.RunUntil(9)
 	if snd.Stats().NoFeedbackHalvings < 4 {
@@ -322,9 +334,9 @@ func TestNoFeedbackRecovery(t *testing.T) {
 }
 
 func TestStatsWindowing(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
-	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	net := buildDumbbell(1.25e6, 0.01, 64)
+	s := net.Sched()
+	snd, _ := NewFlow(s, net, 1, DefaultConfig(), 0, 0.015)
 	snd.Start()
 	s.RunUntil(20)
 	snd.ResetStats()
@@ -340,9 +352,9 @@ func TestStatsWindowing(t *testing.T) {
 }
 
 func TestSenderIgnoresNonFeedback(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1e6, 0, 10)
-	snd, rcv := NewFlow(&s, net, 1, DefaultConfig(), 0, 0)
+	net := buildDumbbell(1e6, 0, 10)
+	s := net.Sched()
+	snd, rcv := NewFlow(s, net, 1, DefaultConfig(), 0, 0)
 	before := snd.Rate()
 	snd.Receive(&netsim.Packet{Kind: netsim.Data})
 	if snd.Rate() != before {
@@ -355,14 +367,14 @@ func TestSenderIgnoresNonFeedback(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	var s des.Scheduler
-	net := buildDumbbell(&s, 1e6, 0, 10)
+	net := buildDumbbell(1e6, 0, 10)
+	s := net.Sched()
 	cases := []func(){
 		func() { NewFlow(nil, net, 1, DefaultConfig(), 0, 0) },
-		func() { NewFlow(&s, nil, 1, DefaultConfig(), 0, 0) },
-		func() { NewFlow(&s, net, 1, Config{}, 0, 0) },
+		func() { NewFlow(s, nil, 1, DefaultConfig(), 0, 0) },
+		func() { NewFlow(s, net, 1, Config{}, 0, 0) },
 		func() {
-			snd, _ := NewFlow(&s, net, 2, DefaultConfig(), 0, 0)
+			snd, _ := NewFlow(s, net, 2, DefaultConfig(), 0, 0)
 			snd.Start()
 			snd.Start()
 		},

@@ -1,44 +1,8 @@
-// Package topology assembles the netsim primitives (links, queues,
-// endpoints) into packet-level network graphs: nodes connected by
-// directed links, per-flow static source routes across any number of
-// congested hops, a shared packet freelist, and per-flow round-trip
-// accounting. The paper's dumbbell is the two-node special case
-// (NewDumbbell); parking-lot chains, multi-bottleneck paths and
-// heterogeneous-RTT meshes are built from the same pieces.
-//
-// Forwarding model: a flow's forward route is an ordered chain of link
-// IDs. SendForward injects the packet at the first hop; each link egress
-// hands the packet to the network, which either forwards it into the
-// next link's queue or — past the last hop — delivers it to the flow's
-// receiver after the flow's extra forward delay. Flows without a
-// receiver sink their packets at route end (cross traffic).
-//
-// Reverse model: by default the reverse path is uncongested and modeled
-// as a pure per-flow delay (with optional jitter), as in the paper's
-// experiments. A flow may instead carry a routed reverse path
-// (SetReverseRoute, or SetDefaultReverseRoute for every flow at once):
-// feedback and acknowledgment packets are then forwarded hop by hop
-// through real links and queues — they can be queued behind competing
-// traffic, delayed by serialization, and dropped — before the flow's
-// remaining reverse delay returns them to the sender. MirrorReverse
-// builds the routed counterpart of a forward route (one reverse link
-// per forward hop, same rate and delay) so the mirrored-reverse default
-// is one declaration.
-//
-// The network owns the packet freelist and tracks issue/return counts,
-// so tests can assert the leak invariant: every packet the freelist
-// issued is either back in the pool or demonstrably inside the network
-// (queued, serializing, propagating, or pending delivery).
+// Package topology names the parts of a network graph: node and link
+// identifiers, and the derivation of each flow's private reverse-jitter
+// seed. The graph itself — links, routes, forwarding and the packet
+// freelists — is the network engine in internal/shard.
 package topology
-
-import (
-	"fmt"
-
-	"repro/internal/des"
-	"repro/internal/netsim"
-	"repro/internal/obs"
-	"repro/internal/rng"
-)
 
 // NodeID identifies a node in the graph.
 type NodeID int
@@ -46,776 +10,10 @@ type NodeID int
 // LinkID identifies a directed link in the graph.
 type LinkID int
 
-// flowState is the per-flow routing entry: the forward route, the
-// optional routed reverse path, the terminal delays, and the endpoints.
-type flowState struct {
-	route []*netsim.Link
-	// revRoute, when non-empty, carries the flow's reverse packets hop
-	// by hop through real queues; revDelay then becomes the remaining
-	// pure delay after the last reverse hop. Empty keeps the pure-delay
-	// reverse path (length, not nil-ness, is the discriminator: pooled
-	// records recycle their slices at zero length).
-	revRoute  []*netsim.Link
-	fwdExtra  float64
-	revDelay  float64
-	sender    netsim.Endpoint
-	receiver  netsim.Endpoint
-	delivered int64
-	// jitter is the flow's private reverse-jitter stream, seeded from
-	// (network jitter seed, flow id) at attach time. Per-flow streams —
-	// rather than one network-wide RNG consumed in global event order —
-	// make each flow's jitter sequence independent of event interleaving
-	// across flows, which is what lets a space-parallel execution of the
-	// same graph (internal/shard) reproduce the serial run bit for bit.
-	jitter rng.RNG
-}
-
-// delivery is one pending hand-off of a packet to an endpoint after a
-// pure delay (per-flow forward extra or reverse path). Deliveries are
-// recycled through the network's pool; the bound run callback is
-// allocated once per delivery object, not per packet. Live deliveries
-// are indexed in the network's registry (idx is the registry position,
-// maintained by swap-remove) so a checkpoint can enumerate them;
-// toSender records which of the flow's endpoints the hand-off targets,
-// and tm is the pending hand-off timer, both needed to re-create the
-// delivery on restore.
-type delivery struct {
-	n        *Network
-	to       netsim.Endpoint
-	p        *netsim.Packet
-	run      des.Event
-	tm       des.Timer
-	idx      int32
-	toSender bool
-}
-
-func (dv *delivery) deliver() {
-	n := dv.n
-	last := len(n.liveDel) - 1
-	n.liveDel[dv.idx] = n.liveDel[last]
-	n.liveDel[dv.idx].idx = dv.idx
-	n.liveDel[last] = nil
-	n.liveDel = n.liveDel[:last]
-	to, p := dv.to, dv.p
-	dv.to, dv.p = nil, nil
-	n.dpool = append(n.dpool, dv)
-	n.pendingDeliveries--
-	to.Receive(p)
-	n.PutPacket(p)
-}
-
-// Network is a packet-level network graph implementing netsim.Network.
-// Build it with New, AddNode and AddLink (or AdoptLink for an
-// externally constructed link), declare per-flow routes with SetRoute
-// or a default route with SetDefaultRoute, then attach protocol
-// endpoints with AttachFlow.
-type Network struct {
-	Sched *des.Scheduler
-
-	// Trace, when set, is the event tracer of this network's scheduling
-	// domain. Protocol endpoints and the fault layer discover it through
-	// netsim.Traced; nil (the default) keeps every tracing hook a
-	// nil-sink. Cleared by Reset.
-	Trace *obs.Tracer
-
-	nodes    []string
-	links    []*netsim.Link
-	linkFrom []NodeID
-	linkTo   []NodeID
-
-	// flows is indexed by flow id (nil = unattached). A dense slice
-	// instead of a map for two reasons: lookups sit on the per-packet hot
-	// path, and the churn engine (internal/arrivals) attaches and
-	// detaches flows at simulation time — after ReserveFlows, an attach
-	// stores a pointer into a preallocated slot instead of growing a map.
-	flows     []*flowState
-	flowCount int
-
-	routes       map[int][]LinkID
-	defaultRoute []LinkID
-	// defaultLink receives forward packets of flows with no attached
-	// route (a dumbbell's cross traffic terminating at the bottleneck).
-	defaultLink *netsim.Link
-
-	// revRoutes and defaultRevRoute are the routed reverse counterparts
-	// of routes and defaultRoute. A flow with neither keeps the
-	// pure-delay reverse path. revRoutes is allocated lazily on the
-	// first SetReverseRoute so purely-forward networks pay nothing for
-	// the reverse subsystem (nil map reads are legal).
-	revRoutes       map[int][]LinkID
-	defaultRevRoute []LinkID
-
-	// ReverseJitter, when positive, scales each reverse-path delivery
-	// delay by a uniform factor in [1-ReverseJitter, 1+ReverseJitter].
-	// Real acknowledgment streams jitter at least this much; a perfectly
-	// periodic ack clock in a deterministic simulator otherwise slots
-	// arrivals into queue vacancies with unrealistic precision. Each flow
-	// draws from its own stream seeded by FlowJitterSeed(jitterSeed,
-	// flow), created when the flow attaches.
-	ReverseJitter float64
-	jitterSeed    uint64
-
-	pool   []*netsim.Packet
-	dpool  []*delivery
-	fsPool []*flowState
-	// liveDel indexes the in-flight deliveries (swap-removed as they
-	// fire) so a checkpoint can enumerate them without walking the
-	// scheduler.
-	liveDel []*delivery
-
-	issued            int64
-	returned          int64
-	pendingDeliveries int
-
-	// Per-flow in-network packet accounting for the churn engine's
-	// reclamation decisions (WatchFlows): lcCount[flow-lcLo] is the
-	// number of freelist packets the flow currently has inside the
-	// simulator, and lcQuiet fires whenever a discharge empties a watched
-	// flow's account. All three stay zero-cost nil/empty when unused.
-	lcLo    int
-	lcCount []int32
-	lcQuiet func(flow int)
-
-	arriveFn func(*netsim.Packet)
-}
-
-var _ netsim.Network = (*Network)(nil)
-
-// New returns an empty network graph on the scheduler.
-func New(sched *des.Scheduler) *Network {
-	if sched == nil {
-		panic("topology: nil scheduler")
-	}
-	n := &Network{
-		Sched:  sched,
-		routes: map[int][]LinkID{},
-	}
-	n.arriveFn = n.arrive
-	return n
-}
-
-// Reset empties the graph — nodes, links, routes, flows, jitter and
-// freelist accounting — while keeping the packet pool, the delivery
-// pool and the flow-state freelist, so a pooled network rebuilds its
-// next topology in place instead of reallocating (see the run arena in
-// internal/experiments). Packets still referenced by a previous run's
-// pending events are abandoned to the garbage collector; reset the
-// scheduler alongside the network.
-func (n *Network) Reset() {
-	n.nodes = n.nodes[:0]
-	n.links = n.links[:0]
-	n.linkFrom = n.linkFrom[:0]
-	n.linkTo = n.linkTo[:0]
-	for id, fs := range n.flows {
-		if fs == nil {
-			continue
-		}
-		fs.route = fs.route[:0]
-		fs.revRoute = fs.revRoute[:0]
-		fs.sender, fs.receiver = nil, nil
-		fs.delivered = 0
-		n.fsPool = append(n.fsPool, fs)
-		n.flows[id] = nil
-	}
-	n.flows = n.flows[:0]
-	n.flowCount = 0
-	n.lcLo = 0
-	n.lcCount = n.lcCount[:0]
-	n.lcQuiet = nil
-	for id := range n.routes {
-		delete(n.routes, id)
-	}
-	for id := range n.revRoutes {
-		delete(n.revRoutes, id)
-	}
-	n.defaultRoute = nil
-	n.defaultLink = nil
-	n.defaultRevRoute = nil
-	n.ReverseJitter = 0
-	n.jitterSeed = 0
-	n.issued, n.returned = 0, 0
-	n.pendingDeliveries = 0
-	for i := range n.liveDel {
-		n.liveDel[i] = nil
-	}
-	n.liveDel = n.liveDel[:0]
-	n.Trace = nil
-}
-
-// Tracer implements netsim.Traced: it returns the domain's event
-// tracer, nil when tracing is off.
-func (n *Network) Tracer() *obs.Tracer { return n.Trace }
-
-// LinkTracer returns the tracer of the domain owning the link — on the
-// serial engine, the network's one tracer. It is the seam the fault
-// layer uses to emit link transitions into the right domain's stream
-// (fault.TracedHost).
-func (n *Network) LinkTracer(LinkID) *obs.Tracer { return n.Trace }
-
-// AddNode adds a named node and returns its id. Nodes only anchor link
-// endpoints (for route validation and diagnostics); they hold no state.
-func (n *Network) AddNode(name string) NodeID {
-	n.nodes = append(n.nodes, name)
-	return NodeID(len(n.nodes) - 1)
-}
-
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return len(n.nodes) }
-
-// NodeName returns the name given to AddNode.
-func (n *Network) NodeName(id NodeID) string { return n.nodes[id] }
-
-// AddLink creates a directed link from one node to another with the
-// given rate (bytes/second), propagation delay and queue, and wires its
-// delivery and drop sinks into the network.
-func (n *Network) AddLink(from, to NodeID, rate, delay float64, queue netsim.Queue) LinkID {
-	return n.AdoptLink(netsim.NewLink(n.Sched, rate, delay, queue), from, to)
-}
-
-// AdoptLink wires an externally constructed link into the graph as a
-// directed edge. The network takes over the link's Deliver and Release
-// sinks.
-func (n *Network) AdoptLink(l *netsim.Link, from, to NodeID) LinkID {
-	if l == nil {
-		panic("topology: nil link")
-	}
-	if int(from) >= len(n.nodes) || int(to) >= len(n.nodes) || from < 0 || to < 0 {
-		panic("topology: link endpoint node out of range")
-	}
-	l.Deliver = n.arriveFn
-	l.Release = n.PutPacket
-	n.links = append(n.links, l)
-	n.linkFrom = append(n.linkFrom, from)
-	n.linkTo = append(n.linkTo, to)
-	return LinkID(len(n.links) - 1)
-}
-
-// Link returns the link behind an id (for inspection in tests and
-// experiments).
-func (n *Network) Link(id LinkID) *netsim.Link { return n.links[id] }
-
-// Links returns the number of links.
-func (n *Network) Links() int { return len(n.links) }
-
-// LinkSched returns the scheduler that drives the link's events — the
-// network's single scheduler on this serial engine. The sharded engine
-// answers with the owning shard's scheduler instead; fault plans
-// (internal/fault) arm their timed events through this seam so each
-// event fires on the scheduler that owns the link it manipulates.
-func (n *Network) LinkSched(LinkID) *des.Scheduler { return n.Sched }
-
-// checkRoute validates that hops form a contiguous directed path.
-func (n *Network) checkRoute(hops []LinkID) {
-	if len(hops) == 0 {
-		panic("topology: empty route")
-	}
-	for i, h := range hops {
-		if int(h) >= len(n.links) || h < 0 {
-			panic(fmt.Sprintf("topology: route hop %d: unknown link %d", i, h))
-		}
-		if i > 0 && n.linkFrom[h] != n.linkTo[hops[i-1]] {
-			panic(fmt.Sprintf("topology: route hop %d: link %d does not start where link %d ends",
-				i, h, hops[i-1]))
-		}
-	}
-}
-
-// SetRoute declares the static source route for a flow id, to be used
-// by a later AttachFlow for the same id.
-func (n *Network) SetRoute(flow int, hops ...LinkID) {
-	n.checkRoute(hops)
-	n.routes[flow] = append([]LinkID(nil), hops...)
-}
-
-// SetDefaultRoute declares the route used by AttachFlow for flows with
-// no per-flow SetRoute entry, and makes the route's first link the sink
-// for forward packets of entirely unattached flows (cross traffic).
-func (n *Network) SetDefaultRoute(hops ...LinkID) {
-	n.checkRoute(hops)
-	n.defaultRoute = append([]LinkID(nil), hops...)
-	n.defaultLink = n.links[hops[0]]
-}
-
-// SetReverseRoute declares the routed reverse path for a flow id, to be
-// used by a later AttachFlow for the same id: the flow's reverse
-// packets traverse these links hop by hop — queued, delayed, and
-// possibly dropped — before the flow's remaining reverse delay returns
-// them to the sender. The route must run from the forward route's last
-// node back to its first (checked at attach time).
-func (n *Network) SetReverseRoute(flow int, hops ...LinkID) {
-	n.checkRoute(hops)
-	if n.revRoutes == nil {
-		n.revRoutes = map[int][]LinkID{}
-	}
-	n.revRoutes[flow] = append([]LinkID(nil), hops...)
-}
-
-// SetDefaultReverseRoute declares the routed reverse path used by
-// AttachFlow for flows with no per-flow SetReverseRoute entry. Without
-// it (the default), such flows keep the uncongested pure-delay reverse
-// path.
-func (n *Network) SetDefaultReverseRoute(hops ...LinkID) {
-	n.checkRoute(hops)
-	n.defaultRevRoute = append([]LinkID(nil), hops...)
-}
-
-// MirrorReverse builds the routed reverse counterpart of a forward
-// route: for each forward hop, in reverse order, a new link from the
-// hop's head node back to its tail, copying the forward twin's rate and
-// propagation delay. queue selects the queue of reverse hop i (counting
-// from the receiver side); a nil queue func — or a nil result — gives
-// that hop an unbounded lossless FIFO, i.e. the pure-delay reverse path
-// plus serialization. The returned hops are ready for SetReverseRoute
-// or SetDefaultReverseRoute.
-func (n *Network) MirrorReverse(fwd []LinkID, queue func(hop int) netsim.Queue) []LinkID {
-	n.checkRoute(fwd)
-	rev := make([]LinkID, 0, len(fwd))
-	for i := len(fwd) - 1; i >= 0; i-- {
-		h := fwd[i]
-		var q netsim.Queue
-		if queue != nil {
-			q = queue(len(rev))
-		}
-		if q == nil {
-			q = netsim.NewUnbounded()
-		}
-		l := n.links[h]
-		rev = append(rev, n.AddLink(n.linkTo[h], n.linkFrom[h], l.Rate, l.Delay, q))
-	}
-	return rev
-}
-
-// checkReverse validates that a reverse route connects the forward
-// route's end node back to its start node.
-func (n *Network) checkReverse(fwd, rev []LinkID) {
-	n.checkRoute(rev)
-	if n.linkFrom[rev[0]] != n.linkTo[fwd[len(fwd)-1]] {
-		panic(fmt.Sprintf("topology: reverse route starts at node %d, want the forward route's last node %d",
-			n.linkFrom[rev[0]], n.linkTo[fwd[len(fwd)-1]]))
-	}
-	if n.linkTo[rev[len(rev)-1]] != n.linkFrom[fwd[0]] {
-		panic(fmt.Sprintf("topology: reverse route ends at node %d, want the forward route's first node %d",
-			n.linkTo[rev[len(rev)-1]], n.linkFrom[fwd[0]]))
-	}
-}
-
-// SetReverseJitter enables reverse-path delay jitter with the given
-// fraction (0 <= j < 1) and seed. Each flow attached afterwards draws
-// from its own stream seeded by FlowJitterSeed(seed, flow), so a flow's
-// jitter sequence depends only on its own reverse traffic — not on how
-// its packets interleave with other flows'. Call it before attaching
-// flows.
-func (n *Network) SetReverseJitter(j float64, seed uint64) {
-	if j < 0 || j >= 1 {
-		panic("topology: reverse jitter outside [0,1)")
-	}
-	if n.flowCount > 0 {
-		panic("topology: SetReverseJitter after flows attached")
-	}
-	n.ReverseJitter = j
-	n.jitterSeed = seed
-}
-
 // FlowJitterSeed derives the seed of a flow's private reverse-jitter
-// stream from the network-wide jitter seed. It is exported so that any
-// alternative executor of the same graph (internal/shard) derives
-// bit-identical streams.
+// stream from the network-wide jitter seed, so a flow's jitter sequence
+// depends only on its own reverse traffic and is the same at every
+// shard count.
 func FlowJitterSeed(seed uint64, flow int) uint64 {
 	return seed ^ (uint64(flow)+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
-}
-
-// AttachFlow implements netsim.Network: it registers a flow's endpoints
-// and path delays on the flow's declared route (SetRoute), falling back
-// to the default route. fwdExtra is the one-way delay from the last
-// routed link's egress to the receiver. revDelay is the full uncongested
-// return delay from receiver to sender — unless the flow has a routed
-// reverse path (SetReverseRoute or SetDefaultReverseRoute), in which
-// case revDelay is the remaining delay after the last reverse hop.
-func (n *Network) AttachFlow(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
-	hops, ok := n.routes[flow]
-	if !ok {
-		hops = n.defaultRoute
-	}
-	if len(hops) == 0 {
-		panic(fmt.Sprintf("topology: no route for flow %d (SetRoute or SetDefaultRoute first)", flow))
-	}
-	if sender == nil || receiver == nil {
-		panic("topology: nil endpoint")
-	}
-	n.attach(flow, sender, receiver, hops, fwdExtra, revDelay)
-}
-
-// AttachSink registers a receiver-less flow over a route: its packets
-// are recycled at route end. This is how cross traffic is carried over
-// a chosen sub-path of a multi-hop graph. A sink flow has no sender to
-// return packets to, so declaring a reverse route for it is rejected.
-func (n *Network) AttachSink(flow int, hops ...LinkID) {
-	n.attach(flow, nil, nil, hops, 0, 0)
-}
-
-func (n *Network) attach(flow int, sender, receiver netsim.Endpoint, hops []LinkID, fwdExtra, revDelay float64) {
-	revHops, explicit := n.revRoutes[flow]
-	if explicit && sender == nil {
-		panic(fmt.Sprintf("topology: reverse route for sink flow %d (no sender to return packets to)", flow))
-	}
-	if !explicit && sender != nil {
-		// The default reverse route covers endpoint flows only: sink
-		// flows terminate at route end and never send reverse packets.
-		revHops = n.defaultRevRoute
-	}
-	n.attachOn(flow, sender, receiver, hops, revHops, fwdExtra, revDelay)
-}
-
-// AttachFlowOn is AttachFlow with the forward and (possibly empty)
-// reverse routes passed explicitly instead of resolved from the
-// per-flow route maps. Run-time attaches — the churn engine's arrival
-// events — use it so registering a route per arrival (a map insert per
-// flow) never happens: every flow of an arrival class shares the
-// class's hop slices, and steady-state attach stays allocation-free.
-func (n *Network) AttachFlowOn(flow int, sender, receiver netsim.Endpoint, fwdHops, revHops []LinkID, fwdExtra, revDelay float64) {
-	if sender == nil || receiver == nil {
-		panic("topology: nil endpoint")
-	}
-	n.attachOn(flow, sender, receiver, fwdHops, revHops, fwdExtra, revDelay)
-}
-
-func (n *Network) attachOn(flow int, sender, receiver netsim.Endpoint, hops, revHops []LinkID, fwdExtra, revDelay float64) {
-	if fwdExtra < 0 || revDelay < 0 {
-		panic("topology: negative delay")
-	}
-	if flow < 0 {
-		panic(fmt.Sprintf("topology: negative flow id %d", flow))
-	}
-	if n.flowAt(flow) != nil {
-		panic(fmt.Sprintf("topology: duplicate flow id %d", flow))
-	}
-	n.checkRoute(hops)
-	if len(revHops) > 0 {
-		n.checkReverse(hops, revHops)
-	}
-	fs := n.getFlowState()
-	for _, h := range hops {
-		fs.route = append(fs.route, n.links[h])
-	}
-	for _, h := range revHops {
-		fs.revRoute = append(fs.revRoute, n.links[h])
-	}
-	fs.fwdExtra = fwdExtra
-	fs.revDelay = revDelay
-	fs.sender = sender
-	fs.receiver = receiver
-	if n.ReverseJitter > 0 {
-		fs.jitter.Reseed(FlowJitterSeed(n.jitterSeed, flow))
-	}
-	for len(n.flows) <= flow {
-		n.flows = append(n.flows, nil)
-	}
-	n.flows[flow] = fs
-	n.flowCount++
-}
-
-// flowAt returns the flow's routing entry, nil when the id is out of
-// range or currently unattached.
-func (n *Network) flowAt(flow int) *flowState {
-	if flow >= 0 && flow < len(n.flows) {
-		return n.flows[flow]
-	}
-	return nil
-}
-
-// ReserveFlows pre-sizes the flow table for ids [0, max): run-time
-// attaches (the churn engine's arrival events) then store into an
-// existing slot instead of growing the table mid-run. Idempotent;
-// shrinking is not supported.
-func (n *Network) ReserveFlows(max int) {
-	for len(n.flows) < max {
-		n.flows = append(n.flows, nil)
-	}
-}
-
-// DetachFlow removes a flow at simulation time and recycles its routing
-// record into the flow-state pool, so a departed session costs nothing
-// once its last packet is back in the freelist. The caller must only
-// detach a quiet flow — endpoints done, their timers expired or
-// cancelled, and no packets of the flow left inside the simulator;
-// with WatchFlows accounting enabled the last condition is asserted.
-// Detaching mutates no scheduler or ledger state, so a detach on one
-// executor and none on another cannot diverge their event trajectories.
-func (n *Network) DetachFlow(flow int) {
-	fs := n.flowAt(flow)
-	if fs == nil {
-		panic(fmt.Sprintf("topology: DetachFlow on unattached flow %d", flow))
-	}
-	if i := flow - n.lcLo; n.lcQuiet != nil && i >= 0 && i < len(n.lcCount) && n.lcCount[i] != 0 {
-		panic(fmt.Sprintf("topology: DetachFlow(%d) with %d packets still in the network", flow, n.lcCount[i]))
-	}
-	fs.route = fs.route[:0]
-	fs.revRoute = fs.revRoute[:0]
-	fs.sender, fs.receiver = nil, nil
-	fs.delivered = 0
-	n.fsPool = append(n.fsPool, fs)
-	n.flows[flow] = nil
-	n.flowCount--
-}
-
-// WatchFlows enables per-flow in-network packet accounting for flow ids
-// in [lo, lo+count): every SendForward/SendReverse charges the packet to
-// its flow, every PutPacket discharges it, and a discharge that empties
-// the flow's account invokes onQuiet(flow) — the churn engine's cue to
-// reclaim a finished flow the moment its last packet leaves the
-// simulator. The accounting costs two bounds checks per packet on
-// watched ranges and a nil check otherwise.
-func (n *Network) WatchFlows(lo, count int, onQuiet func(flow int)) {
-	if onQuiet == nil || count <= 0 {
-		panic("topology: WatchFlows needs a callback and a positive range")
-	}
-	if n.lcQuiet != nil {
-		panic("topology: WatchFlows called twice")
-	}
-	n.lcLo = lo
-	if cap(n.lcCount) < count {
-		n.lcCount = make([]int32, count)
-	} else {
-		n.lcCount = n.lcCount[:count]
-		for i := range n.lcCount {
-			n.lcCount[i] = 0
-		}
-	}
-	n.lcQuiet = onQuiet
-}
-
-// InFlight returns the watched flow's current in-network packet count
-// (0 for flows outside the watched range or without accounting).
-func (n *Network) InFlight(flow int) int {
-	if i := flow - n.lcLo; n.lcQuiet != nil && i >= 0 && i < len(n.lcCount) {
-		return int(n.lcCount[i])
-	}
-	return 0
-}
-
-func (n *Network) lcCharge(flow int) {
-	if i := flow - n.lcLo; n.lcQuiet != nil && i >= 0 && i < len(n.lcCount) {
-		n.lcCount[i]++
-	}
-}
-
-func (n *Network) lcDischarge(flow int) {
-	if i := flow - n.lcLo; n.lcQuiet != nil && i >= 0 && i < len(n.lcCount) {
-		n.lcCount[i]--
-		if n.lcCount[i] == 0 {
-			n.lcQuiet(flow)
-		} else if n.lcCount[i] < 0 {
-			panic(fmt.Sprintf("topology: flow %d discharged below zero (PutPacket without a matching send)", flow))
-		}
-	}
-}
-
-// getFlowState recycles a flow-state record (route slices keep their
-// capacity across Reset) or allocates a fresh one.
-func (n *Network) getFlowState() *flowState {
-	if m := len(n.fsPool); m > 0 {
-		fs := n.fsPool[m-1]
-		n.fsPool = n.fsPool[:m-1]
-		return fs
-	}
-	return &flowState{}
-}
-
-// GetPacket returns a zeroed packet from the freelist (allocating only
-// when the pool is empty). The simulator reclaims it after delivery.
-func (n *Network) GetPacket() *netsim.Packet {
-	n.issued++
-	if m := len(n.pool); m > 0 {
-		p := n.pool[m-1]
-		n.pool = n.pool[:m-1]
-		*p = netsim.Packet{}
-		return p
-	}
-	return &netsim.Packet{}
-}
-
-// PutPacket returns a packet to the freelist. Callers normally never
-// need this — the network releases packets itself after delivery and on
-// drops — but sources that abandon a packet before sending may.
-func (n *Network) PutPacket(p *netsim.Packet) {
-	if p == nil {
-		return
-	}
-	n.returned++
-	n.pool = append(n.pool, p)
-	if n.lcQuiet != nil {
-		n.lcDischarge(int(p.Flow))
-	}
-}
-
-func (n *Network) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool) *delivery {
-	var dv *delivery
-	if m := len(n.dpool); m > 0 {
-		dv = n.dpool[m-1]
-		n.dpool = n.dpool[:m-1]
-	} else {
-		dv = &delivery{n: n}
-		dv.run = dv.deliver
-	}
-	dv.to = to
-	dv.p = p
-	dv.toSender = toSender
-	dv.idx = int32(len(n.liveDel))
-	n.liveDel = append(n.liveDel, dv)
-	n.pendingDeliveries++
-	return dv
-}
-
-// SendForward implements netsim.Network: the packet enters the first
-// link of its flow's route. Packets of unattached flows go to the
-// default route's first link (and are recycled at its egress).
-func (n *Network) SendForward(p *netsim.Packet) {
-	if n.lcQuiet != nil {
-		n.lcCharge(int(p.Flow))
-	}
-	if fs := n.flowAt(int(p.Flow)); fs != nil {
-		p.Hop = 0
-		fs.route[0].Send(p)
-		return
-	}
-	if n.defaultLink == nil {
-		panic(fmt.Sprintf("topology: forward packet for unrouted flow %d and no default route", p.Flow))
-	}
-	p.Hop = 0
-	n.defaultLink.Send(p)
-}
-
-// SendReverse implements netsim.Network: the packet enters the first
-// link of the flow's routed reverse path when one is declared (it may
-// be queued, delayed, and dropped on the way), otherwise it reaches the
-// flow's sender after the flow's reverse delay (jittered when enabled).
-func (n *Network) SendReverse(p *netsim.Packet) {
-	fs := n.flowAt(int(p.Flow))
-	if fs == nil || fs.sender == nil {
-		panic(fmt.Sprintf("topology: reverse packet for unknown flow %d", p.Flow))
-	}
-	if n.lcQuiet != nil {
-		n.lcCharge(int(p.Flow))
-	}
-	if len(fs.revRoute) > 0 {
-		p.Rev = true
-		p.Hop = 0
-		fs.revRoute[0].Send(p)
-		return
-	}
-	n.returnToSender(fs, p)
-}
-
-// returnToSender schedules the packet's final hand-off to the flow's
-// sender after the flow's remaining reverse delay (jittered when
-// enabled) — the shared tail of the pure-delay and routed reverse
-// paths.
-func (n *Network) returnToSender(fs *flowState, p *netsim.Packet) {
-	delay := fs.revDelay
-	if n.ReverseJitter > 0 {
-		delay *= 1 + n.ReverseJitter*(2*fs.jitter.Float64()-1)
-	}
-	dv := n.getDelivery(fs.sender, p, true)
-	dv.tm = n.Sched.After(delay, dv.run)
-}
-
-// arriveReverse handles a reverse-path packet exiting a link: forward
-// it into the next hop of the flow's reverse route, or return it to the
-// sender past the last hop after the flow's remaining reverse delay.
-func (n *Network) arriveReverse(fs *flowState, p *netsim.Packet) {
-	if next := int(p.Hop) + 1; next < len(fs.revRoute) {
-		p.Hop = int32(next)
-		fs.revRoute[next].Send(p)
-		return
-	}
-	n.returnToSender(fs, p)
-}
-
-// arrive handles a packet exiting a link: forward it into the next hop
-// of its route, or deliver it past the last hop.
-func (n *Network) arrive(p *netsim.Packet) {
-	fs := n.flowAt(int(p.Flow))
-	if fs == nil {
-		// Unattached flow (e.g. background traffic that terminates at
-		// the default link): recycle silently.
-		n.PutPacket(p)
-		return
-	}
-	if p.Rev {
-		n.arriveReverse(fs, p)
-		return
-	}
-	if next := int(p.Hop) + 1; next < len(fs.route) {
-		p.Hop = int32(next)
-		fs.route[next].Send(p)
-		return
-	}
-	fs.delivered++
-	if fs.receiver == nil {
-		// Sink flow: the route end is the destination.
-		n.PutPacket(p)
-		return
-	}
-	if fs.fwdExtra == 0 {
-		fs.receiver.Receive(p)
-		n.PutPacket(p)
-		return
-	}
-	dv := n.getDelivery(fs.receiver, p, false)
-	dv.tm = n.Sched.After(fs.fwdExtra, dv.run)
-}
-
-// BaseRTT returns the no-queueing round-trip time for the flow: the sum
-// of its routed links' propagation delays — forward and, when the
-// reverse path is routed, reverse — the extra forward delay and the
-// return delay (transmission times excluded).
-func (n *Network) BaseRTT(flow int) float64 {
-	fs := n.flowAt(flow)
-	if fs == nil {
-		return 0
-	}
-	rtt := fs.fwdExtra + fs.revDelay
-	for _, l := range fs.route {
-		rtt += l.Delay
-	}
-	for _, l := range fs.revRoute {
-		rtt += l.Delay
-	}
-	return rtt
-}
-
-// Delivered returns the number of packets a flow's route has carried to
-// its end (whether consumed by a receiver or sunk).
-func (n *Network) Delivered(flow int) int64 {
-	if fs := n.flowAt(flow); fs != nil {
-		return fs.delivered
-	}
-	return 0
-}
-
-// Outstanding returns issued-minus-returned freelist packets: the
-// number the pool believes are alive inside the network.
-func (n *Network) Outstanding() int64 { return n.issued - n.returned }
-
-// InNetwork counts the packets demonstrably inside the simulator:
-// queued, serializing or propagating on some link — forward and routed
-// reverse alike, since reverse links are ordinary graph links — or
-// waiting in a pending delivery.
-func (n *Network) InNetwork() int {
-	total := n.pendingDeliveries
-	for _, l := range n.links {
-		total += l.InFlight()
-	}
-	return total
-}
-
-// CheckLeaks verifies the freelist leak invariant: every packet the
-// pool issued is either returned or physically inside the network. It
-// holds at any inter-event instant provided all sources draw from
-// GetPacket and no endpoint retains or double-returns a packet.
-func (n *Network) CheckLeaks() error {
-	if out, in := n.Outstanding(), int64(n.InNetwork()); out != in {
-		return fmt.Errorf("topology: packet leak: %d outstanding from the freelist but %d in the network", out, in)
-	}
-	return nil
 }

@@ -1,260 +1,349 @@
-package topology
+// The network graph named by this package's ids is executed by the
+// engine in internal/shard. These tests pin the graph's forwarding
+// contract — routes, sinks, jitter, the freelist leak invariant — on
+// that engine, on a one-domain partition and, wherever the graph has
+// two or more atoms, on a two-shard one.
+package topology_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/netsim"
+	"repro/internal/shard"
+	"repro/internal/topology"
 )
 
-func send(net *Network, flow int, size int) {
-	p := net.GetPacket()
-	p.Flow = flow
-	p.Size = size
-	net.SendForward(p)
+// forShards runs body once per shard count in ks as a subtest.
+func forShards(t *testing.T, ks []int, body func(t *testing.T, k int)) {
+	t.Helper()
+	for _, k := range ks {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { body(t, k) })
+	}
 }
 
-func TestDumbbellForwardAndReverse(t *testing.T) {
-	var s des.Scheduler
-	link := netsim.NewLink(&s, 1e6, 0.02, netsim.NewDropTail(100))
-	d := NewDumbbell(&s, link)
-	var got []string
-	recv := netsim.EndpointFunc(func(p *netsim.Packet) {
-		got = append(got, "recv")
-		ack := d.GetPacket()
+// partition splits the cluster and requires exactly k shards.
+func partition(t *testing.T, c *shard.Cluster, k int) {
+	t.Helper()
+	c.Partition(k)
+	if c.Shards() != k {
+		t.Fatalf("graph split into %d shards, want %d", c.Shards(), k)
+	}
+}
+
+// dumbbell declares and partitions a dumbbell around a DropTail
+// bottleneck.
+func dumbbell(t *testing.T, k int, rate, delay float64, buffer int) (*shard.Cluster, topology.LinkID) {
+	t.Helper()
+	c := shard.New()
+	id := c.Dumbbell(rate, delay, netsim.NewDropTail(buffer))
+	partition(t, c, k)
+	return c, id
+}
+
+// send injects a forward packet of the flow from its sender's shard.
+func send(c *shard.Cluster, flow int, seq int64, size int) {
+	snd, _ := c.FlowEnv(flow)
+	p := snd.GetPacket()
+	p.Flow = flow
+	p.Seq = seq
+	p.Size = size
+	snd.SendForward(p)
+}
+
+// acker is a receiver endpoint that answers every packet with an ack of
+// the given size over the flow's reverse path.
+func acker(net netsim.Network, size int) netsim.Endpoint {
+	return netsim.EndpointFunc(func(p *netsim.Packet) {
+		ack := net.GetPacket()
 		ack.Flow = p.Flow
 		ack.Kind = netsim.Ack
-		d.SendReverse(ack)
+		ack.Size = size
+		net.SendReverse(ack)
 	})
-	snd := netsim.EndpointFunc(func(p *netsim.Packet) { got = append(got, "ack") })
-	d.AttachFlow(1, snd, recv, 0.005, 0.025)
-	send(d.Network, 1, 1000)
-	s.Run()
-	if len(got) != 2 || got[0] != "recv" || got[1] != "ack" {
-		t.Fatalf("sequence = %v", got)
-	}
-	// Base RTT: 0.02 + 0.005 + 0.025 = 0.05.
-	if math.Abs(d.BaseRTT(1)-0.05) > 1e-12 {
-		t.Fatalf("base rtt = %v", d.BaseRTT(1))
-	}
-	if err := d.CheckLeaks(); err != nil {
+}
+
+func checkLeaks(t *testing.T, c *shard.Cluster) {
+	t.Helper()
+	if err := c.CheckLeaks(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDumbbellUnknownFlowDropped(t *testing.T) {
-	var s des.Scheduler
-	link := netsim.NewLink(&s, 1e6, 0.001, netsim.NewDropTail(10))
-	d := NewDumbbell(&s, link)
-	send(d.Network, 42, 100)
-	s.Run() // must not panic
-	if err := d.CheckLeaks(); err != nil {
-		t.Fatal(err)
-	}
+var nop = netsim.EndpointFunc(func(*netsim.Packet) {})
+
+func TestDumbbellForwardAndReverse(t *testing.T) {
+	forShards(t, []int{1, 2}, func(t *testing.T, k int) {
+		c, _ := dumbbell(t, k, 1e6, 0.02, 100)
+		snd, rcv := c.FlowEnv(1)
+		// Each timestamp is written by the shard its endpoint lives on.
+		recvAt, ackAt := -1.0, -1.0
+		c.AttachFlow(1,
+			netsim.EndpointFunc(func(*netsim.Packet) { ackAt = snd.Sched().Now() }),
+			netsim.EndpointFunc(func(p *netsim.Packet) {
+				recvAt = rcv.Sched().Now()
+				acker(rcv, 40).Receive(p)
+			}), 0.005, 0.025)
+		send(c, 1, 0, 1000)
+		c.Run(1)
+		// Out: 1 ms serialization + 20 ms propagation + 5 ms extra; back:
+		// the 25 ms pure-delay reverse path.
+		if math.Abs(recvAt-0.026) > 1e-9 || math.Abs(ackAt-0.051) > 1e-9 {
+			t.Fatalf("received at %v, acked at %v; want 0.026, 0.051", recvAt, ackAt)
+		}
+		// Base RTT: 0.02 + 0.005 + 0.025 = 0.05.
+		if math.Abs(c.BaseRTT(1)-0.05) > 1e-12 {
+			t.Fatalf("base rtt = %v", c.BaseRTT(1))
+		}
+		checkLeaks(t, c)
+	})
+}
+
+// A packet of a flow that was never attached is a wiring bug: the
+// engine rejects it at the first hop instead of silently sinking it.
+func TestDumbbellUnknownFlowRejected(t *testing.T) {
+	forShards(t, []int{1, 2}, func(t *testing.T, k int) {
+		c, _ := dumbbell(t, k, 1e6, 0.001, 10)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic on a packet of an unattached flow")
+			}
+		}()
+		send(c, 42, 0, 100)
+	})
 }
 
 func TestDumbbellDuplicateFlowPanics(t *testing.T) {
-	var s des.Scheduler
-	d := NewDumbbell(&s, netsim.NewLink(&s, 1e6, 0.001, netsim.NewDropTail(10)))
-	e := netsim.EndpointFunc(func(*netsim.Packet) {})
-	d.AttachFlow(1, e, e, 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate flow")
-		}
-	}()
-	d.AttachFlow(1, e, e, 0, 0)
+	forShards(t, []int{1, 2}, func(t *testing.T, k int) {
+		c, _ := dumbbell(t, k, 1e6, 0.001, 10)
+		c.AttachFlow(1, nop, nop, 0, 0)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic on duplicate flow")
+			}
+		}()
+		c.AttachFlow(1, nop, nop, 0, 0)
+	})
 }
 
 // A three-hop route must deliver in order, after the sum of the hop
 // serialization and propagation delays, and touch every link.
 func TestMultiHopRouteTiming(t *testing.T) {
-	var s des.Scheduler
-	net := New(&s)
-	n := []NodeID{net.AddNode("s"), net.AddNode("r1"), net.AddNode("r2"), net.AddNode("d")}
-	var hops []LinkID
-	for i := 0; i < 3; i++ {
-		hops = append(hops, net.AddLink(n[i], n[i+1], 1e5, 0.01, netsim.NewDropTail(10)))
-	}
-	var arrivals []float64
-	var seqs []int64
-	net.SetRoute(1, hops...)
-	net.AttachFlow(1, netsim.EndpointFunc(func(*netsim.Packet) {}),
-		netsim.EndpointFunc(func(p *netsim.Packet) {
-			arrivals = append(arrivals, s.Now())
+	forShards(t, []int{1, 2}, func(t *testing.T, k int) {
+		c := shard.New()
+		n := []topology.NodeID{c.AddNode("s"), c.AddNode("r1"), c.AddNode("r2"), c.AddNode("d")}
+		var hops []topology.LinkID
+		for i := 0; i < 3; i++ {
+			hops = append(hops, c.AddLink(n[i], n[i+1], 1e5, 0.01, netsim.NewDropTail(10)))
+		}
+		c.SetRoute(1, hops...)
+		partition(t, c, k)
+		_, rcv := c.FlowEnv(1)
+		var arrivals []float64
+		var seqs []int64
+		c.AttachFlow(1, nop, netsim.EndpointFunc(func(p *netsim.Packet) {
+			arrivals = append(arrivals, rcv.Sched().Now())
 			seqs = append(seqs, p.Seq)
 		}), 0.005, 0.02)
-	for i := 0; i < 3; i++ {
-		p := net.GetPacket()
-		p.Flow = 1
-		p.Seq = int64(i)
-		p.Size = 1000
-		net.SendForward(p)
-	}
-	s.Run()
-	if len(arrivals) != 3 {
-		t.Fatalf("arrivals = %v", arrivals)
-	}
-	// First packet: 3 hops × (10 ms serialization + 10 ms propagation)
-	// + 5 ms terminal delay = 65 ms; later packets pipeline 10 ms apart.
-	want := []float64{0.065, 0.075, 0.085}
-	for i := range want {
-		if math.Abs(arrivals[i]-want[i]) > 1e-9 {
-			t.Fatalf("arrival %d at %v, want %v (all: %v)", i, arrivals[i], want[i], arrivals)
+		for i := 0; i < 3; i++ {
+			send(c, 1, int64(i), 1000)
 		}
-		if seqs[i] != int64(i) {
-			t.Fatalf("reordered: %v", seqs)
+		c.Run(1)
+		if len(arrivals) != 3 {
+			t.Fatalf("arrivals = %v", arrivals)
 		}
-	}
-	for _, h := range hops {
-		if net.Link(h).Forwarded != 3 {
-			t.Fatalf("link %d forwarded %d", h, net.Link(h).Forwarded)
+		// First packet: 3 hops × (10 ms serialization + 10 ms propagation)
+		// + 5 ms terminal delay = 65 ms; later packets pipeline 10 ms apart.
+		want := []float64{0.065, 0.075, 0.085}
+		for i := range want {
+			if math.Abs(arrivals[i]-want[i]) > 1e-9 {
+				t.Fatalf("arrival %d at %v, want %v (all: %v)", i, arrivals[i], want[i], arrivals)
+			}
+			if seqs[i] != int64(i) {
+				t.Fatalf("reordered: %v", seqs)
+			}
 		}
-	}
-	if net.Delivered(1) != 3 {
-		t.Fatalf("delivered = %d", net.Delivered(1))
-	}
-	if math.Abs(net.BaseRTT(1)-(0.01*3+0.005+0.02)) > 1e-12 {
-		t.Fatalf("base rtt = %v", net.BaseRTT(1))
-	}
-	if err := net.CheckLeaks(); err != nil {
-		t.Fatal(err)
-	}
+		for _, h := range hops {
+			if c.Link(h).Forwarded != 3 {
+				t.Fatalf("link %d forwarded %d", h, c.Link(h).Forwarded)
+			}
+		}
+		if c.Delivered(1) != 3 {
+			t.Fatalf("delivered = %d", c.Delivered(1))
+		}
+		if math.Abs(c.BaseRTT(1)-(0.01*3+0.005+0.02)) > 1e-12 {
+			t.Fatalf("base rtt = %v", c.BaseRTT(1))
+		}
+		checkLeaks(t, c)
+	})
 }
 
-// Flows with disjoint routes only congest their own hops, and packets
-// dropped at an inner hop are recycled (the leak invariant holds with
-// drops and with packets cut off mid-flight).
+// Packets dropped at an inner hop are recycled: the leak invariant
+// holds with drops and with packets cut off mid-flight.
 func TestLeakInvariantWithDropsAndCutoff(t *testing.T) {
-	var s des.Scheduler
-	net := New(&s)
-	a, b, c := net.AddNode("a"), net.AddNode("b"), net.AddNode("c")
-	l0 := net.AddLink(a, b, 1e5, 0.005, netsim.NewDropTail(4))
-	l1 := net.AddLink(b, c, 5e4, 0.005, netsim.NewDropTail(2)) // tighter: drops here
-	net.SetRoute(1, l0, l1)
-	delivered := 0
-	net.AttachFlow(1, netsim.EndpointFunc(func(*netsim.Packet) {}),
-		netsim.EndpointFunc(func(*netsim.Packet) { delivered++ }), 0, 0.01)
-	for i := 0; i < 50; i++ {
-		send(net, 1, 1000)
-	}
-	// Mid-flight check: packets sit in queues, serialization and
-	// propagation; nothing may be unaccounted for.
-	s.RunUntil(0.05)
-	if err := net.CheckLeaks(); err != nil {
-		t.Fatalf("mid-flight: %v", err)
-	}
-	s.Run()
-	if delivered == 0 {
-		t.Fatal("nothing delivered")
-	}
-	drops := net.Link(l0).Queue().(*netsim.DropTail).Drops +
-		net.Link(l1).Queue().(*netsim.DropTail).Drops
-	if drops == 0 {
-		t.Fatal("expected drops on the tight inner hop")
-	}
-	if int64(delivered)+drops != 50 {
-		t.Fatalf("delivered %d + dropped %d != 50", delivered, drops)
-	}
-	if err := net.CheckLeaks(); err != nil {
-		t.Fatal(err)
-	}
-	if net.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after full drain", net.Outstanding())
-	}
+	forShards(t, []int{1, 2}, func(t *testing.T, k int) {
+		c := shard.New()
+		a, b, d := c.AddNode("a"), c.AddNode("b"), c.AddNode("c")
+		l0 := c.AddLink(a, b, 1e5, 0.005, netsim.NewDropTail(4))
+		l1 := c.AddLink(b, d, 5e4, 0.005, netsim.NewDropTail(2)) // tighter: drops here
+		c.SetRoute(1, l0, l1)
+		partition(t, c, k)
+		delivered := 0
+		c.AttachFlow(1, nop, netsim.EndpointFunc(func(*netsim.Packet) { delivered++ }), 0, 0.01)
+		for i := 0; i < 50; i++ {
+			send(c, 1, int64(i), 1000)
+		}
+		// Mid-flight check: packets sit in queues, serialization and
+		// propagation; nothing may be unaccounted for.
+		c.Run(0.05)
+		if err := c.CheckLeaks(); err != nil {
+			t.Fatalf("mid-flight: %v", err)
+		}
+		c.Run(10)
+		if delivered == 0 {
+			t.Fatal("nothing delivered")
+		}
+		drops := c.Link(l0).Queue().(*netsim.DropTail).Drops +
+			c.Link(l1).Queue().(*netsim.DropTail).Drops
+		if drops == 0 {
+			t.Fatal("expected drops on the tight inner hop")
+		}
+		if int64(delivered)+drops != 50 {
+			t.Fatalf("delivered %d + dropped %d != 50", delivered, drops)
+		}
+		checkLeaks(t, c)
+		if c.Outstanding() != 0 {
+			t.Fatalf("outstanding = %d after full drain", c.Outstanding())
+		}
+	})
 }
 
 func TestReverseJitterBounds(t *testing.T) {
-	var s des.Scheduler
-	d := NewDumbbell(&s, netsim.NewLink(&s, 1e9, 0, netsim.NewDropTail(10)))
-	d.SetReverseJitter(0.2, 42)
-	var arrivals []float64
-	d.AttachFlow(1, netsim.EndpointFunc(func(*netsim.Packet) { arrivals = append(arrivals, s.Now()) }),
-		netsim.EndpointFunc(func(*netsim.Packet) {}), 0, 0.1)
-	for i := 0; i < 200; i++ {
-		p := d.GetPacket()
-		p.Flow = 1
-		p.Kind = netsim.Ack
-		d.SendReverse(p)
-	}
-	s.Run()
-	if len(arrivals) != 200 {
-		t.Fatalf("arrivals = %d", len(arrivals))
-	}
-	lo, hi := arrivals[0], arrivals[0]
-	for _, a := range arrivals {
-		lo, hi = math.Min(lo, a), math.Max(hi, a)
-	}
-	if lo < 0.08-1e-12 || hi > 0.12+1e-12 {
-		t.Fatalf("jittered delays outside [0.08, 0.12]: [%v, %v]", lo, hi)
-	}
-	if hi-lo < 0.01 {
-		t.Fatalf("jitter did not spread delays: [%v, %v]", lo, hi)
-	}
+	forShards(t, []int{1, 2}, func(t *testing.T, k int) {
+		c := shard.New()
+		c.Dumbbell(1e9, 0.001, netsim.NewDropTail(10))
+		c.SetReverseJitter(0.2, 42)
+		partition(t, c, k)
+		snd, rcv := c.FlowEnv(1)
+		var arrivals []float64
+		c.AttachFlow(1, netsim.EndpointFunc(func(*netsim.Packet) { arrivals = append(arrivals, snd.Sched().Now()) }),
+			nop, 0, 0.1)
+		for i := 0; i < 200; i++ {
+			p := rcv.GetPacket()
+			p.Flow = 1
+			p.Kind = netsim.Ack
+			rcv.SendReverse(p)
+		}
+		c.Run(1)
+		if len(arrivals) != 200 {
+			t.Fatalf("arrivals = %d", len(arrivals))
+		}
+		lo, hi := arrivals[0], arrivals[0]
+		for _, a := range arrivals {
+			lo, hi = math.Min(lo, a), math.Max(hi, a)
+		}
+		if lo < 0.08-1e-12 || hi > 0.12+1e-12 {
+			t.Fatalf("jittered delays outside [0.08, 0.12]: [%v, %v]", lo, hi)
+		}
+		if hi-lo < 0.01 {
+			t.Fatalf("jitter did not spread delays: [%v, %v]", lo, hi)
+		}
+		checkLeaks(t, c)
+	})
 }
 
 func TestTopologyPanics(t *testing.T) {
-	var s des.Scheduler
-	fresh := func() (*Network, LinkID) {
-		n := New(&s)
-		a, b := n.AddNode("a"), n.AddNode("b")
-		id := n.AddLink(a, b, 1e6, 0, netsim.NewDropTail(1))
-		return n, id
+	fresh := func() (*shard.Cluster, topology.LinkID) {
+		c := shard.New()
+		a, b := c.AddNode("a"), c.AddNode("b")
+		id := c.AddLink(a, b, 1e6, 0, netsim.NewDropTail(1))
+		return c, id
 	}
-	e := netsim.EndpointFunc(func(*netsim.Packet) {})
+	partitioned := func() (*shard.Cluster, topology.LinkID) {
+		c, id := fresh()
+		c.Partition(1)
+		return c, id
+	}
 	cases := []func(){
-		func() { New(nil) },
-		func() { NewDumbbell(nil, nil) },
 		func() {
-			n, _ := fresh()
-			n.AdoptLink(nil, 0, 1)
+			c, _ := fresh()
+			c.AddLink(0, 7, 1e6, 0, netsim.NewDropTail(1)) // node out of range
 		},
 		func() {
-			n, _ := fresh()
-			n.AddLink(0, 7, 1e6, 0, netsim.NewDropTail(1)) // node out of range
+			c, _ := fresh()
+			c.AddLink(0, 1, 1e6, 0, nil) // nil queue
 		},
 		func() {
-			n, _ := fresh()
-			n.SetRoute(1) // empty route
+			c, _ := fresh()
+			c.AddLink(0, 1, 0, 0, netsim.NewDropTail(1)) // zero rate
 		},
 		func() {
-			n, id := fresh()
-			n.SetRoute(1, id, id) // discontiguous: link ends at b, restarts at a
+			c, _ := fresh()
+			c.Dumbbell(1e6, 0, netsim.NewDropTail(1)) // graph not empty
 		},
 		func() {
-			n, _ := fresh()
-			n.SetRoute(1, 9) // unknown link
+			c, _ := partitioned()
+			c.AddLink(0, 1, 1e6, 0, netsim.NewDropTail(1)) // after Partition
 		},
 		func() {
-			n, id := fresh()
-			n.SetRoute(1, id)
-			n.AttachFlow(1, nil, e, 0, 0) // nil endpoint
+			c, _ := partitioned()
+			c.Partition(1) // twice
 		},
 		func() {
-			n, id := fresh()
-			n.SetRoute(1, id)
-			n.AttachFlow(1, e, e, -1, 0) // negative delay
+			c, _ := fresh()
+			c.SetRoute(1) // empty route
 		},
 		func() {
-			n, _ := fresh()
-			n.AttachFlow(1, e, e, 0, 0) // no route, no default
+			c, id := fresh()
+			c.SetRoute(1, id, id) // discontiguous: link ends at b, restarts at a
 		},
 		func() {
-			n, _ := fresh()
-			p := n.GetPacket()
+			c, _ := fresh()
+			c.SetRoute(1, 9) // unknown link
+		},
+		func() {
+			c, id := fresh()
+			c.SetRoute(1, id)
+			c.AttachFlow(1, nop, nop, 0, 0) // before Partition
+		},
+		func() {
+			c, id := partitioned()
+			c.SetRoute(1, id)
+			c.AttachFlow(1, nil, nop, 0, 0) // nil endpoint
+		},
+		func() {
+			c, id := partitioned()
+			c.SetRoute(1, id)
+			c.AttachFlow(1, nop, nop, -1, 0) // negative delay
+		},
+		func() {
+			c, _ := partitioned()
+			c.AttachFlow(1, nop, nop, 0, 0) // no route, no default
+		},
+		func() {
+			c, _ := partitioned()
+			s := c.Shard(0)
+			p := s.GetPacket()
 			p.Flow = 3
-			n.SendForward(p) // unrouted flow, no default link
+			s.SendForward(p) // unattached flow
 		},
 		func() {
-			n, _ := fresh()
-			p := n.GetPacket()
+			c, _ := partitioned()
+			s := c.Shard(0)
+			p := s.GetPacket()
 			p.Flow = 9
-			n.SendReverse(p) // unknown flow
+			s.SendReverse(p) // unknown flow
 		},
 		func() {
-			n, _ := fresh()
-			n.SetReverseJitter(1.5, 1)
+			c, _ := fresh()
+			c.SetReverseJitter(1.5, 1)
+		},
+		func() {
+			c, id := partitioned()
+			c.SetRoute(1, id)
+			c.AttachFlow(1, nop, nop, 0, 0)
+			c.SetReverseJitter(0.1, 1) // after flows attached
 		},
 	}
 	for i, fn := range cases {
@@ -269,56 +358,50 @@ func TestTopologyPanics(t *testing.T) {
 	}
 }
 
-// TestNetworkResetReuse checks the arena property: a network Reset and
-// rebuilt in place must behave identically to a fresh one — same
-// deliveries, same leak accounting — with the packet and flow-state
-// pools carried across the reset.
+// TestNetworkResetReuse checks the pooling property: a cluster Reset
+// and rebuilt in place must behave identically to a fresh one — same
+// deliveries, same leak accounting — while reusing the packet,
+// delivery and flow-record pools and the shards' schedulers carried
+// across the reset, so the rebuilt run allocates less.
 func TestNetworkResetReuse(t *testing.T) {
-	run := func(s *des.Scheduler, n *Network) (delivered int64, pooled int) {
-		a := n.AddNode("a")
-		b := n.AddNode("b")
-		c := n.AddNode("c")
-		l1 := n.AddLink(a, b, 1e6, 0.01, netsim.NewDropTail(4))
-		l2 := n.AddLink(b, c, 1e6, 0.01, netsim.NewDropTail(4))
-		n.SetDefaultRoute(l1, l2)
-		recv := netsim.EndpointFunc(func(*netsim.Packet) {})
-		n.AttachFlow(1, recv, recv, 0.002, 0.005)
-		for i := 0; i < 20; i++ {
-			send(n, 1, 1000)
+	forShards(t, []int{1, 2}, func(t *testing.T, k int) {
+		run := func(c *shard.Cluster) int64 {
+			a := c.AddNode("a")
+			b := c.AddNode("b")
+			d := c.AddNode("c")
+			l1 := c.AddLink(a, b, 1e6, 0.01, netsim.NewDropTail(4))
+			l2 := c.AddLink(b, d, 1e6, 0.01, netsim.NewDropTail(4))
+			c.SetDefaultRoute(l1, l2)
+			partition(t, c, k)
+			c.AttachFlow(1, nop, nop, 0.002, 0.005)
+			for i := 0; i < 20; i++ {
+				send(c, 1, int64(i), 1000)
+			}
+			c.Run(1)
+			checkLeaks(t, c)
+			return c.Delivered(1)
 		}
-		s.Run()
-		if err := n.CheckLeaks(); err != nil {
-			t.Fatal(err)
+
+		want := run(shard.New())
+		reused := shard.New()
+		run(reused)
+		reused.Reset()
+		if reused.Shards() != 0 || reused.Links() != 0 || reused.Outstanding() != 0 || reused.InNetwork() != 0 {
+			t.Fatalf("Reset left state: %d shards, %d links, outstanding=%d, in-network=%d",
+				reused.Shards(), reused.Links(), reused.Outstanding(), reused.InNetwork())
 		}
-		return n.Delivered(1), len(n.pool)
-	}
+		if got := run(reused); got != want {
+			t.Fatalf("reused cluster delivered %d packets, fresh delivered %d", got, want)
+		}
 
-	var s1 des.Scheduler
-	fresh := New(&s1)
-	wantDelivered, _ := run(&s1, fresh)
-
-	var s2 des.Scheduler
-	reused := New(&s2)
-	run(&s2, reused)
-	s2.Reset()
-	reused.Reset()
-	if reused.Nodes() != 0 || reused.Links() != 0 || len(reused.flows) != 0 {
-		t.Fatalf("Reset left graph state: %d nodes, %d links, %d flows",
-			reused.Nodes(), reused.Links(), len(reused.flows))
-	}
-	if reused.Outstanding() != 0 || reused.InNetwork() != 0 {
-		t.Fatalf("Reset left freelist accounting: outstanding=%d in-network=%d",
-			reused.Outstanding(), reused.InNetwork())
-	}
-	if len(reused.pool) == 0 || len(reused.fsPool) == 0 {
-		t.Fatal("Reset discarded the packet or flow-state pool")
-	}
-	gotDelivered, pooled := run(&s2, reused)
-	if gotDelivered != wantDelivered {
-		t.Fatalf("reused network delivered %d packets, fresh delivered %d",
-			gotDelivered, wantDelivered)
-	}
-	if pooled == 0 {
-		t.Fatal("second run did not recycle packets through the carried-over pool")
-	}
+		fresh := testing.AllocsPerRun(5, func() { run(shard.New()) })
+		rebuilt := testing.AllocsPerRun(5, func() {
+			reused.Reset()
+			run(reused)
+		})
+		if rebuilt >= fresh {
+			t.Fatalf("rebuilding in a reset cluster allocated %v times per run, a fresh one %v: pools not carried across Reset",
+				rebuilt, fresh)
+		}
+	})
 }
