@@ -11,10 +11,13 @@ import (
 )
 
 // goldenScenarios is the pinned subset of the registry: RunSim dumbbells
-// with the Poisson probe (fig7) and with WAN cross traffic (fig11),
-// RunTopoSim chains with faults (linkflap, capdrop) and with churn
-// (webmice, surge), and RunRevSim runs (revcross, ackshare).
-var goldenScenarios = []string{"fig7", "fig11", "linkflap", "capdrop", "webmice", "surge", "revcross", "ackshare"}
+// with the Poisson probe (fig7), with WAN cross traffic (fig11) and on a
+// RED queue (fig16, whose queue draws the run's first random split),
+// RunTopoSim chains with faults (linkflap, capdrop), with churn
+// (webmice, surge) and with an RTT spread (hetrtt), and RunRevSim runs
+// (revcross, ackshare, and asymrev's multi-hop reverse chains).
+var goldenScenarios = []string{"fig7", "fig11", "fig16", "linkflap", "capdrop", "webmice", "surge",
+	"hetrtt", "revcross", "ackshare", "asymrev"}
 
 // TestGoldenDigests pins the exact `ebrc -quick` TSV of goldenScenarios,
 // plain and with `-metrics -epochs 4`, against the SHA-256 digests in
@@ -25,7 +28,7 @@ var goldenScenarios = []string{"fig7", "fig11", "linkflap", "capdrop", "webmice"
 // A deliberate re-baseline regenerates the digests from the repository
 // root with:
 //
-//	d=$(mktemp -d); for s in fig7 fig11 linkflap capdrop webmice surge revcross ackshare; do
+//	d=$(mktemp -d); for s in fig7 fig11 fig16 linkflap capdrop webmice surge hetrtt revcross ackshare asymrev; do
 //	  go run ./cmd/ebrc -quick "$s" > "$d/$s.tsv"
 //	  go run ./cmd/ebrc -quick -metrics -epochs 4 "$s" > "$d/$s.metrics.tsv"
 //	done; (cd "$d" && sha256sum *.tsv) > cmd/ebrc/testdata/golden.sha256
