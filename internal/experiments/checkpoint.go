@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -62,90 +63,35 @@ func schedulers(c *shard.Cluster) []*des.Scheduler {
 	return scheds
 }
 
-// configDigest folds every field of the run's configuration that shapes
-// its trajectory — scenario label, seed, topology, flow population,
-// fault plan, churn classes, executor shape and epoch structure — into
-// one 64-bit value. A snapshot restores only into a run whose digest
-// matches exactly; anything else is a different simulation and resuming
-// into it would silently corrupt output.
+// configDigest folds the run's whole configuration — every
+// TopoSimConfig field except Resume, which only says where to resume
+// from — with its executor shape and epoch structure into one 64-bit
+// value. The config enters as its canonical JSON encoding, so a field
+// added to TopoSimConfig (or to the fault, watch and churn types it
+// embeds) is covered without touching this function. A snapshot
+// restores only into a run whose digest matches exactly; anything else
+// is a different simulation and resuming into it would silently corrupt
+// output.
 func configDigest(cfg *TopoSimConfig, shards, epochs int) uint64 {
+	c := *cfg
+	c.Resume = ""
+	enc, err := json.Marshal(&c)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: encoding the config digest: %v", err))
+	}
 	var d checkpoint.Digest
 	d.Str("toposim")
-	d.Str(cfg.Label)
-	d.Int(cfg.Hops)
-	d.F64(cfg.Capacity)
-	d.Int(cfg.Buffer)
-	d.F64(cfg.HopDelay)
-	d.F64(cfg.AccessDelay)
-	d.F64(cfg.RevDelay)
-	d.Int(cfg.NTFRC)
-	d.Int(cfg.NTCP)
-	d.Int(cfg.CrossPerHop)
-	d.F64(cfg.CrossRevDelay)
-	d.F64(cfg.RTTSpread)
-	d.Int(cfg.L)
-	d.Bool(cfg.Comprehensive)
-	d.F64(cfg.Duration)
-	d.F64(cfg.Warmup)
-	d.U64(cfg.Seed)
-	d.F64(cfg.RevJitter)
-	d.Bool(cfg.MirrorRev)
+	d.Str(string(enc))
 	d.Int(shards)
 	d.Int(epochs)
-	d.Bool(cfg.Faults != nil)
-	if p := cfg.Faults; p != nil {
-		d.U64(p.Seed)
-		d.Int(len(p.Events))
-		for _, ev := range p.Events {
-			d.F64(ev.At)
-			d.Int(int(ev.Link))
-			d.Int(int(ev.Op))
-			d.F64(ev.Rate)
-			d.Int(int(ev.Policy))
-		}
-		d.Int(len(p.Losses))
-		for _, ge := range p.Losses {
-			d.Int(int(ge.Link))
-			d.F64(ge.MeanGood)
-			d.F64(ge.MeanBad)
-			d.F64(ge.LossGood)
-			d.F64(ge.LossBad)
-		}
-	}
-	d.Bool(cfg.Watch != nil)
-	if wt := cfg.Watch; wt != nil {
-		d.F64(wt.Down)
-		d.F64(wt.Up)
-		d.F64(wt.Frac)
-		d.F64(wt.Interval)
-	}
-	d.Int(len(cfg.Churn))
-	for _, sp := range cfg.Churn {
-		d.Str(sp.Name)
-		d.Int(int(sp.Proto))
-		d.Int(int(sp.Gap.Kind))
-		d.F64(sp.Gap.Rate)
-		d.F64(sp.Gap.Shape)
-		d.F64(sp.Gap.Scale)
-		d.Int(int(sp.Size.Kind))
-		d.I64(sp.Size.Packets)
-		d.F64(sp.Size.Shape)
-		d.F64(sp.Size.MinPackets)
-		d.I64(sp.Size.CapPackets)
-		d.F64(sp.Start)
-		d.F64(sp.Stop)
-		d.Int(sp.MaxArrivals)
-		d.U64(sp.Seed)
-		d.Bool(sp.Reverse)
-		d.F64(sp.CBRRate)
-	}
 	return d.Sum()
 }
 
 // instant is one stop of the measured window's stepping sequence: an
 // epoch boundary, a checkpoint time, or both when they coincide. The
-// sequence is pure float arithmetic from the config, so an interrupted
-// run and its resumed continuation step through identical instants.
+// sequence is pure float arithmetic from the config, so every executor
+// and an interrupted run's resumed continuation step through identical
+// instants.
 type instant struct {
 	t     float64
 	epoch int     // epoch index ending at t, -1 when not a boundary
@@ -153,105 +99,61 @@ type instant struct {
 	save  bool    // write a snapshot at t
 }
 
-// topoCkpt drives one checkpoint-aware (or resuming) multi-hop run: it
-// owns references to every stateful component the rebuild produced, in
-// a fixed order, and sequences their Save/Restore hooks around the
-// cluster's Run stepping.
-type topoCkpt struct {
-	cfg      *TopoSimConfig
-	env      *shard.Cluster
-	ob       *obsRun
-	armed    armedFault
-	churn    churnEngine
-	watchers []*rateWatch
-	tfrcSnd  []tfrcSenderCkpt
-	tfrcRcv  []tfrcReceiverCkpt
-	tcpSnd   []tcpSenderCkpt
-	tcpRcv   []tcpReceiverCkpt
-	crossSnd []tcpSenderCkpt
-	crossRcv []tcpReceiverCkpt
-
-	// statResetters holds the builder's per-class resetStats closures,
-	// run once when warmup ends (never on a resumed run, whose snapshot
-	// postdates the reset).
-	statResetters []func()
-
-	end    float64
-	digest uint64
-	saving bool
-	resume string // resume directory, "" when not resuming
-}
-
-// The protocol endpoints and engines are referenced through minimal
-// interfaces so this file states exactly which hooks the driver uses.
-type tfrcSenderCkpt interface {
-	Save(w *checkpoint.Writer, cap *des.TimerCapture)
-	Restore(r *checkpoint.Reader)
-	Scheduler() *des.Scheduler
-}
-type tfrcReceiverCkpt = tfrcSenderCkpt
-type tcpSenderCkpt = tfrcSenderCkpt
-type tcpReceiverCkpt interface {
-	Save(w *checkpoint.Writer)
-	Restore(r *checkpoint.Reader)
-}
-type armedFault interface {
-	Save(w *checkpoint.Writer, capOf capFn)
-	Restore(r *checkpoint.Reader)
-}
-type churnEngine interface {
-	Save(w *checkpoint.Writer, capOf capFn)
-	Restore(r *checkpoint.Reader)
-}
-
-// run executes the measured portion of the simulation: warmup, stats
-// reset, then the merged instant sequence, resuming from a snapshot
-// when one is available. It replaces the plain warmup/runMeasured tail
-// of RunTopoSim only when checkpointing or resuming is requested.
-func (d *topoCkpt) run() {
+// measure runs the warmup, restarts the measurement windows, and steps
+// the measured window through its instants — resuming from a snapshot
+// instead when one is requested and present. With observability off and
+// no checkpointing that is exactly two Run calls; epoch boundaries and
+// snapshot times only add stops, never events or random draws, so the
+// trajectory is the same whichever are on.
+func (r *simRun) measure() {
+	s := r.spec
+	r.saving = Checkpoint.Every > 0 && Checkpoint.Dir != "" && s.label != ""
+	resuming := s.resume != "" && s.label != ""
+	if r.saving || resuming {
+		if Observe.TraceCap > 0 {
+			panic("experiments: checkpoint/resume is incompatible with event tracing (-trace): the bounded trace rings are not part of a snapshot")
+		}
+		epochs := 0
+		if r.ob != nil {
+			epochs = r.ob.epochs
+		}
+		r.digest = s.digest(max(s.shards, 1), epochs)
+	}
 	from := -1.0
-	if d.resume != "" {
-		if t, ok := d.tryResume(); ok {
+	if resuming {
+		if t, ok := r.tryResume(); ok {
 			from = t
 		}
 	}
 	if from < 0 {
-		d.env.Run(d.cfg.Warmup)
-		d.resetAll()
-		d.ob.begin()
-		d.saveAt(d.cfg.Warmup)
-		from = d.cfg.Warmup
+		r.env.Run(s.warmup)
+		r.resetStats()
+		r.ob.begin()
+		r.saveAt(s.warmup)
+		from = s.warmup
 	}
-	for _, in := range d.instants() {
+	for _, in := range r.instants() {
 		if in.t <= from {
 			continue
 		}
-		d.env.Run(in.t)
+		r.env.Run(in.t)
 		if in.epoch >= 0 {
-			d.ob.boundary(in.epoch, in.start, in.t)
+			r.ob.boundary(in.epoch, in.start, in.t)
 		}
 		if in.save {
-			d.saveAt(in.t)
+			r.saveAt(in.t)
 		}
-	}
-}
-
-// resetAll restarts every static sender's measurement window; churn
-// flows attach after warmup and measure from their own start.
-func (d *topoCkpt) resetAll() {
-	for _, s := range d.statResetters {
-		s()
 	}
 }
 
 // instants returns the merged, sorted stepping sequence of the measured
 // window: every epoch boundary and every checkpoint time, coinciding
-// stops folded into one.
-func (d *topoCkpt) instants() []instant {
+// stops folded into one, always ending at the end of the run.
+func (r *simRun) instants() []instant {
 	var list []instant
-	from, to := d.cfg.Warmup, d.end
-	if d.ob != nil && d.ob.epochs > 1 {
-		n := d.ob.epochs
+	from, to := r.spec.warmup, r.end
+	if r.ob != nil && r.ob.epochs > 1 {
+		n := r.ob.epochs
 		w := (to - from) / float64(n)
 		start := from
 		for i := 0; i < n; i++ {
@@ -263,7 +165,7 @@ func (d *topoCkpt) instants() []instant {
 			start = end
 		}
 	}
-	if d.saving {
+	if r.saving {
 		for k := 1; ; k++ {
 			t := from + float64(k)*Checkpoint.Every
 			if t >= to {
@@ -271,8 +173,8 @@ func (d *topoCkpt) instants() []instant {
 			}
 			list = append(list, instant{t: t, epoch: -1, save: true})
 		}
+		sort.SliceStable(list, func(i, j int) bool { return list[i].t < list[j].t })
 	}
-	sort.SliceStable(list, func(i, j int) bool { return list[i].t < list[j].t })
 	out := list[:0]
 	for _, in := range list {
 		if n := len(out); n > 0 && out[n-1].t == in.t {
@@ -293,14 +195,14 @@ func (d *topoCkpt) instants() []instant {
 
 // saveAt snapshots the full simulation state at the current (phase-
 // aligned) instant and atomically replaces the job's snapshot file.
-func (d *topoCkpt) saveAt(t float64) {
-	if !d.saving {
+func (r *simRun) saveAt(t float64) {
+	if !r.saving {
 		return
 	}
 	var w checkpoint.Writer
-	d.save(&w)
-	path := checkpoint.PathFor(Checkpoint.Dir, d.cfg.Label)
-	if err := checkpoint.WriteFile(path, d.digest, w.Bytes()); err != nil {
+	r.save(&w)
+	path := checkpoint.PathFor(Checkpoint.Dir, r.spec.label)
+	if err := checkpoint.WriteFile(path, r.digest, w.Bytes()); err != nil {
 		panic(fmt.Sprintf("experiments: writing checkpoint %s at t=%g: %v", path, t, err))
 	}
 }
@@ -309,8 +211,8 @@ func (d *topoCkpt) saveAt(t float64) {
 // missing file degrades to a from-scratch run (false); a present but
 // corrupt or mismatched file is fatal — resuming it would corrupt
 // output.
-func (d *topoCkpt) tryResume() (float64, bool) {
-	path := checkpoint.PathFor(d.resume, d.cfg.Label)
+func (r *simRun) tryResume() (float64, bool) {
+	path := checkpoint.PathFor(r.spec.resume, r.spec.label)
 	digest, payload, err := checkpoint.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, false
@@ -318,27 +220,27 @@ func (d *topoCkpt) tryResume() (float64, bool) {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: resume: %v", err))
 	}
-	if digest != d.digest {
+	if digest != r.digest {
 		panic(fmt.Sprintf(
 			"experiments: resume %s: config digest mismatch: snapshot was written under config %016x, this run is config %016x; refusing to resume a different simulation",
-			path, digest, d.digest))
+			path, digest, r.digest))
 	}
-	r := checkpoint.NewReader(payload)
-	now := d.restore(r)
-	if err := r.Err(); err != nil {
+	rd := checkpoint.NewReader(payload)
+	now := r.restore(rd)
+	if err := rd.Err(); err != nil {
 		panic(fmt.Sprintf("experiments: resume %s: %v", path, err))
 	}
 	return now, true
 }
 
 // save writes the full simulation state in the fixed section order the
-// restore path consumes: scheduler clocks, link contents, static
-// protocol endpoints, recovery watchers, the armed fault plan, the
-// churn engine, the per-flow overlay, in-flight hand-offs, the epoch
-// log, and — last — the freelist ledgers.
-func (d *topoCkpt) save(w *checkpoint.Writer) {
+// restore path consumes: scheduler clocks, link contents, the static
+// protocol endpoints group by group, recovery watchers, the armed fault
+// plan, the churn engine, the per-flow overlay, in-flight hand-offs, the
+// epoch log, and — last — the freelist ledgers.
+func (r *simRun) save(w *checkpoint.Writer) {
 	capOf := captureAll()
-	scheds := schedulers(d.env)
+	scheds := schedulers(r.env)
 	w.Int(len(scheds))
 	for _, s := range scheds {
 		w.F64(s.Now())
@@ -347,36 +249,35 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 		w.U64(s.Cascaded())
 		w.Int(s.Pending())
 	}
-	d.env.SaveLinks(w, capOf)
-	for i, snd := range d.tfrcSnd {
-		snd.Save(w, capOf(snd.Scheduler()))
-		d.tfrcRcv[i].Save(w, capOf(d.tfrcRcv[i].Scheduler()))
+	r.env.SaveLinks(w, capOf)
+	for gi := range r.groups {
+		gr := &r.groups[gi]
+		for _, f := range gr.tfrc {
+			f.snd.Save(w, capOf(f.snd.Scheduler()))
+			f.rcv.Save(w, capOf(f.rcv.Scheduler()))
+		}
+		for _, f := range gr.tcp {
+			f.snd.Save(w, capOf(f.snd.Scheduler()))
+			f.rcv.Save(w)
+		}
 	}
-	for i, snd := range d.tcpSnd {
-		snd.Save(w, capOf(snd.Scheduler()))
-		d.tcpRcv[i].Save(w)
-	}
-	for i, snd := range d.crossSnd {
-		snd.Save(w, capOf(snd.Scheduler()))
-		d.crossRcv[i].Save(w)
-	}
-	w.Int(len(d.watchers))
-	for _, rw := range d.watchers {
+	w.Int(len(r.watchers))
+	for _, rw := range r.watchers {
 		rw.save(w, capOf(rw.sched))
 	}
-	d.armed.Save(w, capOf)
-	w.Bool(d.churn != nil)
-	if d.churn != nil {
-		d.churn.Save(w, capOf)
+	r.armed.Save(w, capOf)
+	w.Bool(r.churn != nil)
+	if r.churn != nil {
+		r.churn.Save(w, capOf)
 	}
-	d.env.SaveFlows(w)
-	d.env.SaveDeliveries(w, capOf)
-	d.env.SaveInjections(w, capOf)
-	w.Bool(d.ob != nil)
-	if d.ob != nil {
-		d.ob.save(w)
+	r.env.SaveFlows(w)
+	r.env.SaveDeliveries(w, capOf)
+	r.env.SaveInjections(w, capOf)
+	w.Bool(r.ob != nil)
+	if r.ob != nil {
+		r.ob.save(w)
 	}
-	d.env.SaveLedger(w)
+	r.env.SaveLedger(w)
 }
 
 // restore overlays a snapshot onto the freshly rebuilt simulation and
@@ -386,88 +287,84 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 // re-arm their timers and re-attach churn flows before the flow overlay
 // validates the attached population, and the ledgers restore last so
 // the leak invariant holds the moment restore returns.
-func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
-	scheds := schedulers(d.env)
-	if n := r.Count(); n != len(scheds) {
-		r.Fail("snapshot has %d schedulers, this cluster has %d", n, len(scheds))
+func (r *simRun) restore(rd *checkpoint.Reader) float64 {
+	scheds := schedulers(r.env)
+	if n := rd.Count(); n != len(scheds) {
+		rd.Fail("snapshot has %d schedulers, this cluster has %d", n, len(scheds))
 		return 0
 	}
 	now := 0.0
 	pending := make([]int, len(scheds))
 	for i, s := range scheds {
-		t := r.F64()
-		seq := r.U64()
-		fired := r.U64()
-		cascaded := r.U64()
-		pending[i] = r.Int()
-		if r.Err() != nil {
+		t := rd.F64()
+		seq := rd.U64()
+		fired := rd.U64()
+		cascaded := rd.U64()
+		pending[i] = rd.Int()
+		if rd.Err() != nil {
 			return 0
 		}
-		if t < d.cfg.Warmup || t > d.end {
-			r.Fail("snapshot clock %g outside this run's measured window [%g, %g]",
-				t, d.cfg.Warmup, d.end)
+		if t < r.spec.warmup || t > r.end {
+			rd.Fail("snapshot clock %g outside this run's measured window [%g, %g]",
+				t, r.spec.warmup, r.end)
 			return 0
 		}
 		s.Reset()
 		s.RestoreClock(t, seq, fired, cascaded)
 		now = t
 	}
-	d.env.RestoreLinks(r)
-	for i, snd := range d.tfrcSnd {
-		if r.Err() != nil {
-			return 0
+	r.env.RestoreLinks(rd)
+	for gi := range r.groups {
+		gr := &r.groups[gi]
+		for _, f := range gr.tfrc {
+			if rd.Err() != nil {
+				return 0
+			}
+			f.snd.Restore(rd)
+			f.rcv.Restore(rd)
 		}
-		snd.Restore(r)
-		d.tfrcRcv[i].Restore(r)
-	}
-	for i, snd := range d.tcpSnd {
-		if r.Err() != nil {
-			return 0
+		for _, f := range gr.tcp {
+			if rd.Err() != nil {
+				return 0
+			}
+			f.snd.Restore(rd)
+			f.rcv.Restore(rd)
 		}
-		snd.Restore(r)
-		d.tcpRcv[i].Restore(r)
 	}
-	for i, snd := range d.crossSnd {
-		if r.Err() != nil {
-			return 0
-		}
-		snd.Restore(r)
-		d.crossRcv[i].Restore(r)
-	}
-	if n := r.Count(); n != len(d.watchers) {
-		r.Fail("snapshot has %d recovery watchers, rebuilt run has %d", n, len(d.watchers))
+	if n := rd.Count(); n != len(r.watchers) {
+		rd.Fail("snapshot has %d recovery watchers, rebuilt run has %d", n, len(r.watchers))
 		return 0
 	}
-	for _, rw := range d.watchers {
-		rw.restore(r)
+	for _, rw := range r.watchers {
+		rw.restore(rd)
 	}
-	d.armed.Restore(r)
-	hadChurn := r.Bool()
-	if hadChurn != (d.churn != nil) {
-		r.Fail("snapshot and rebuilt run disagree on churn presence")
+	r.armed.Restore(rd)
+	hadChurn := rd.Bool()
+	if hadChurn != (r.churn != nil) {
+		rd.Fail("snapshot and rebuilt run disagree on churn presence")
 		return 0
 	}
-	if d.churn != nil {
-		d.churn.Restore(r)
+	if r.churn != nil {
+		r.churn.Restore(rd)
 	}
-	d.env.RestoreFlows(r)
-	d.env.RestoreDeliveries(r)
-	d.env.RestoreInjections(r)
-	hadObs := r.Bool()
-	if hadObs != (d.ob != nil) {
-		r.Fail("snapshot and rebuilt run disagree on observability capture")
+	r.env.RestoreFlows(rd)
+	r.env.RestoreDeliveries(rd)
+	r.env.RestoreInjections(rd)
+	hadObs := rd.Bool()
+	if hadObs != (r.ob != nil) {
+		rd.Fail("snapshot and rebuilt run disagree on observability capture")
 		return 0
 	}
-	if d.ob != nil {
-		d.ob.restore(r)
+	if r.ob != nil {
+		r.ob.restore(rd)
 	}
-	d.env.RestoreLedger(r)
-	if r.Err() != nil {
+	r.env.RestoreLedger(rd)
+	if rd.Err() != nil {
 		return 0
 	}
 	for i, s := range scheds {
 		if got := s.Pending(); got != pending[i] {
-			r.Fail("scheduler %d restored %d pending events, snapshot recorded %d",
+			rd.Fail("scheduler %d restored %d pending events, snapshot recorded %d",
 				i, got, pending[i])
 			return 0
 		}

@@ -13,13 +13,14 @@ import (
 // sequential window loop does.
 var shardForceParallel bool
 
-// clusterPool recycles the network engine across runs. RunSim,
-// RunTopoSim and RunRevSim draw a cluster, declare their graph in it,
-// and return it: the shards' schedulers (wheel buckets, slot tables),
-// packet and delivery pools, flow records and bundle buffers survive
-// Reset, so a replication pays for its protocol state only, not for the
-// simulator substrate. Under the runner's worker pool the clusters are
-// recycled per worker (sync.Pool is per-P).
+// clusterPool recycles the network engine across runs. runSpec.run
+// (behind RunSim, RunTopoSim and RunRevSim) draws a cluster, declares
+// the run's graph in it, and returns it: the shards' schedulers (wheel
+// buckets, slot tables), packet and delivery pools, flow records and
+// bundle buffers survive Reset, so a replication pays for its protocol
+// state only, not for the simulator substrate. Under the runner's
+// worker pool the clusters are recycled per worker (sync.Pool is
+// per-P).
 //
 // Reuse is invisible to results: Reset restores the exact zero-value
 // semantics (clock 0, empty graph, fresh counters), every packet is
@@ -52,8 +53,8 @@ func publishLive(c *shard.Cluster) string {
 }
 
 // putCluster retires the run's live registration and recycles the
-// cluster once the run's results have been copied out — nothing a Run*
-// function returns may alias cluster memory. A poisoned cluster (its
+// cluster once the run's results have been copied out — nothing a run
+// returns may alias cluster memory. A poisoned cluster (its
 // stall detector tripped) may still be referenced by an abandoned shard
 // driver, so it is leaked rather than pooled.
 func putCluster(c *shard.Cluster, liveKey string) {

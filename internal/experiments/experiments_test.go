@@ -188,7 +188,7 @@ func TestFig4Panics(t *testing.T) {
 
 func TestFig6Claim2(t *testing.T) {
 	t.Parallel()
-	tb := Fig6(tiny)
+	tb := runPlan(planFig6, tiny)[0]
 	ps := tb.Column("p")
 	sqrtN := tb.Column("sqrt_norm")
 	pftkN := tb.Column("pftksimp_norm")
@@ -276,7 +276,7 @@ func TestFig7Claim3Ordering(t *testing.T) {
 		t.Skip("slow probe sweep skipped in -short mode")
 	}
 	t.Parallel()
-	tb := Fig7(tiny)
+	tb := runPlan(planFig7, tiny)[0]
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig7")
 	}
@@ -305,7 +305,7 @@ func TestFig8TFRCNotStarved(t *testing.T) {
 		t.Skip("slow sim sweep skipped in -short mode")
 	}
 	t.Parallel()
-	tb := Fig8(tiny)
+	tb := runPlan(planFig8, tiny)[0]
 	for _, row := range tb.Rows {
 		if row[2] < 0.2 || row[2] > 5 {
 			t.Fatalf("ratio %v out of plausible band (L=%v pairs=%v)", row[2], row[0], row[1])
@@ -315,7 +315,7 @@ func TestFig8TFRCNotStarved(t *testing.T) {
 
 func TestFig9TCPBelowFormulaOnAverage(t *testing.T) {
 	t.Parallel()
-	tb := Fig9(tiny)
+	tb := runPlan(planFig9, tiny)[0]
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig9")
 	}
@@ -336,7 +336,7 @@ func TestFig10CovNearZero(t *testing.T) {
 		t.Skip("slow profile sweep skipped in -short mode")
 	}
 	t.Parallel()
-	tb := Fig10(tiny)
+	tb := runPlan(planFig10, tiny)[0]
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig10")
 	}
@@ -355,7 +355,7 @@ func TestFig17CompetingRatioAboveOne(t *testing.T) {
 	// Fig 17 needs enough loss events per point to stabilize the
 	// ratio; use a third of the full duration rather than the tiny
 	// sizing.
-	tb := Fig17(Sizing{Events: tiny.Events, SimFactor: 0.35, Pairs: tiny.Pairs})
+	tb := runPlan(planFig17, Sizing{Events: tiny.Events, SimFactor: 0.35, Pairs: tiny.Pairs})[0]
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig17")
 	}
@@ -414,7 +414,7 @@ func TestClaim3Table(t *testing.T) {
 
 func TestClaim4Table(t *testing.T) {
 	t.Parallel()
-	tb := Claim4()
+	tb := runPlan(planClaim4, Sizing{})[0]
 	for _, row := range tb.Rows {
 		beta, analyticR, fluidR := row[0], row[1], row[2]
 		if analyticR <= 1 {

@@ -383,9 +383,6 @@ func planFig5(sz Sizing) ([]runner.Job, FoldFunc) {
 		})
 }
 
-// Fig5 reproduces Figure 5.
-func Fig5(sz Sizing) *Table { return runPlan(planFig5, sz)[0] }
-
 // planFig6 reproduces Figure 6: the audio sender (fixed 20 ms packet
 // spacing, equation-modulated packet length) through a Bernoulli
 // dropper, L = 4: normalized throughput and squared CV of θ̂ versus p
@@ -433,9 +430,6 @@ func planFig6(sz Sizing) ([]runner.Job, FoldFunc) {
 	return jobs, fold
 }
 
-// Fig6 reproduces Figure 6.
-func Fig6(sz Sizing) *Table { return runPlan(planFig6, sz)[0] }
-
 // planFig7 reproduces Figure 7: loss-event rates of TFRC (p), TCP (p')
 // and a Poisson probe (p”) versus the number of connections, for each
 // L. Claim 3 predicts p' <= p <= p” with p increasing in L.
@@ -452,9 +446,6 @@ func planFig7(sz Sizing) ([]runner.Job, FoldFunc) {
 				res.TFRC.LossEventRate, res.TCP.LossEventRate, res.Poisson.LossEventRate}}
 		})
 }
-
-// Fig7 reproduces Figure 7.
-func Fig7(sz Sizing) *Table { return runPlan(planFig7, sz)[0] }
 
 // planFig8 reproduces Figure 8: the ratio of TFRC to TCP throughput
 // versus the number of connections, per L.
@@ -473,9 +464,6 @@ func planFig8(sz Sizing) ([]runner.Job, FoldFunc) {
 				res.TFRC.Throughput / res.TCP.Throughput}}
 		})
 }
-
-// Fig8 reproduces Figure 8.
-func Fig8(sz Sizing) *Table { return runPlan(planFig8, sz)[0] }
 
 // planFig9 reproduces Figure 9: per-TCP-flow throughput against the
 // PFTK-standard prediction f(p', r') — the "obedience of TCP to its
@@ -510,9 +498,6 @@ func planFig9(sz Sizing) ([]runner.Job, FoldFunc) {
 	})
 }
 
-// Fig9 reproduces Figure 9.
-func Fig9(sz Sizing) *Table { return runPlan(planFig9, sz)[0] }
-
 // planFig10 reproduces Figure 10: the normalized covariance
 // cov[θ0,θ̂0]·p² per testbed/WAN profile (the paper's box plots; we
 // report the pooled value per pair count and profile). Values near zero
@@ -532,11 +517,10 @@ func planFig10(sz Sizing) ([]runner.Job, FoldFunc) {
 	})
 }
 
-// Fig10 reproduces Figure 10.
-func Fig10(sz Sizing) *Table { return runPlan(planFig10, sz)[0] }
-
-// planFriendliness is the shared plan of Figures 11 and 16: the
-// TFRC/TCP throughput ratio versus p per profile.
+// planFriendliness is the shared plan of Figures 11 (WAN profiles) and
+// 16 (lab DropTail 100 and RED): the TFRC/TCP throughput ratio versus p
+// per profile. Values above 1 at small p show the non-TCP-friendliness
+// the paper reports for INRIA/KTH/UMASS.
 func planFriendliness(name string, profiles func() []Profile) PlanFunc {
 	return func(sz Sizing) ([]runner.Job, FoldFunc) {
 		t := &Table{
@@ -553,20 +537,6 @@ func planFriendliness(name string, profiles func() []Profile) PlanFunc {
 				res.TFRC.LossEventRate, res.TFRC.Throughput / res.TCP.Throughput}}
 		})
 	}
-}
-
-// Fig11 reproduces Figure 11: the TFRC/TCP throughput ratio versus p on
-// the WAN profiles; values above 1 at small p show the
-// non-TCP-friendliness the paper reports for INRIA/KTH/UMASS.
-func Fig11(sz Sizing) *Table {
-	return runPlan(planFriendliness("fig11", WANProfiles), sz)[0]
-}
-
-// Fig16 reproduces Figure 16: the same ratio on the lab profiles
-// (DropTail 100 and RED).
-func Fig16(sz Sizing) *Table {
-	return runPlan(planFriendliness("fig16",
-		func() []Profile { return []Profile{LabDT100, LabRED} }), sz)[0]
 }
 
 // planBreakdown reproduces Figures 12-15 (WAN) and 18-19 (lab): for
@@ -605,17 +575,6 @@ func planBreakdown(name string, profiles func() []Profile) PlanFunc {
 // profiles.
 func Breakdown(name string, profiles []Profile, sz Sizing) *Table {
 	return runPlan(planBreakdown(name, func() []Profile { return profiles }), sz)[0]
-}
-
-// Fig12to15 is the WAN breakdown (Figures 12, 13, 14, 15).
-func Fig12to15(sz Sizing) *Table {
-	return runPlan(planBreakdown("fig12-15", WANProfiles), sz)[0]
-}
-
-// Fig18to19 is the lab breakdown (Figures 18 and 19: DropTail 100, RED).
-func Fig18to19(sz Sizing) *Table {
-	return runPlan(planBreakdown("fig18-19",
-		func() []Profile { return []Profile{LabDT100, LabRED} }), sz)[0]
 }
 
 // planFig17 reproduces Figure 17: the ratio p'/p of TCP's to TFRC's
@@ -675,9 +634,6 @@ func planFig17(sz Sizing) ([]runner.Job, FoldFunc) {
 	}
 	return jobs, fold
 }
-
-// Fig17 reproduces Figure 17.
-func Fig17(sz Sizing) *Table { return runPlan(planFig17, sz)[0] }
 
 // TableI tabulates the WAN profile stand-ins for the paper's Table I:
 // capacity (packets/second), base RTT in milliseconds, queue kind
@@ -751,6 +707,3 @@ func planClaim4(Sizing) ([]runner.Job, FoldFunc) {
 	}
 	return jobs, fold
 }
-
-// Claim4 evaluates Claim 4.
-func Claim4() *Table { return runPlan(planClaim4, Sizing{})[0] }

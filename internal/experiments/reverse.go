@@ -6,8 +6,6 @@ import (
 	"math"
 
 	"repro/internal/formula"
-	"repro/internal/netsim"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
@@ -108,142 +106,76 @@ type RevSimResult struct {
 // returns the per-class aggregates. It is fully deterministic in
 // cfg.Seed.
 func RunRevSim(cfg RevSimConfig) RevSimResult {
-	if cfg.Capacity <= 0 || cfg.Buffer < 1 || cfg.RevBuffer < 1 ||
-		cfg.Duration <= 0 || cfg.Warmup < 0 || cfg.L < 1 {
-		panic("experiments: invalid reverse sim config")
+	tc := tfrc.DefaultConfig()
+	tc.Window = cfg.L
+	tc.Comprehensive = cfg.Comprehensive
+	// Nodes src, dst, rev1..rev(k-1): link 0 is the forward bottleneck
+	// src -> dst, links 1..k the reverse chain dst -> rev1 -> ... -> src,
+	// one link per configured capacity.
+	k := len(cfg.RevCapacities)
+	spec := runSpec{
+		seed: cfg.Seed, warmup: cfg.Warmup, duration: cfg.Duration,
+		shards: cfg.Shards, jitter: cfg.RevJitter,
+		nodes: append(make([]string, 0, k+1), "src", "dst"),
+		links: append(make([]linkDecl, 0, k+1), linkDecl{from: 0, to: 1,
+			rate: cfg.Capacity, delay: cfg.FwdDelay, queue: DropTail, buffer: cfg.Buffer}),
 	}
-	if len(cfg.RevCapacities) == 0 {
-		panic("experiments: reverse sim needs at least one reverse hop")
+	for i := 1; i < k; i++ {
+		spec.nodes = append(spec.nodes, fmt.Sprintf("rev%d", i))
 	}
-	for _, c := range cfg.RevCapacities {
-		if c <= 0 {
-			panic("experiments: non-positive reverse capacity")
-		}
-	}
-	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
-		panic("experiments: need at least one primary flow")
-	}
-	if cfg.BackTCP < 0 || cfg.RevCrossLoad < 0 {
-		panic("experiments: invalid reverse load")
-	}
-	// Build the bidirectional graph inside a pooled cluster (see
-	// exec.go), partitioned into at most cfg.Shards domains. Either way
-	// wheels, packet pools and flow records are reused across
-	// replications.
-	env := getCluster()
-	seedRNG := rng.New(cfg.Seed)
-
-	src := env.AddNode("src")
-	dst := env.AddNode("dst")
-	fwd := env.AddLink(src, dst, cfg.Capacity, cfg.FwdDelay, netsim.NewDropTail(cfg.Buffer))
-	// Reverse chain dst → … → src, one link per configured capacity.
-	revNodes := make([]topology.NodeID, 0, len(cfg.RevCapacities)+1)
-	revNodes = append(revNodes, dst)
-	for i := 1; i < len(cfg.RevCapacities); i++ {
-		revNodes = append(revNodes, env.AddNode(fmt.Sprintf("rev%d", i)))
-	}
-	revNodes = append(revNodes, src)
-	rev := make([]topology.LinkID, len(cfg.RevCapacities))
+	fwd := []topology.LinkID{0}
+	rev := make([]topology.LinkID, k)
 	for i, c := range cfg.RevCapacities {
-		rev[i] = env.AddLink(revNodes[i], revNodes[i+1], c, cfg.RevHopDelay,
-			netsim.NewDropTail(cfg.RevBuffer))
+		to := topology.NodeID(i + 2)
+		if i == k-1 {
+			to = 0
+		}
+		rev[i] = topology.LinkID(i + 1)
+		spec.links = append(spec.links, linkDecl{from: topology.NodeID(i + 1), to: to,
+			rate: c, delay: cfg.RevHopDelay, queue: DropTail, buffer: cfg.RevBuffer})
 	}
-	env.SetDefaultRoute(fwd)
-	env.SetDefaultReverseRoute(rev...)
-	if cfg.RevJitter > 0 {
-		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
-	}
-	env.Partition(cfg.Shards)
-	defer putCluster(env, publishLive(env))
-	// Tracer attach precedes endpoint construction (see RunTopoSim).
-	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, 0)
-
-	tfrcCfg := tfrc.DefaultConfig()
-	tfrcCfg.Window = cfg.L
-	tfrcCfg.Comprehensive = cfg.Comprehensive
-
-	flowID := 0
-	tfrcSenders := make([]*tfrc.Sender, 0, cfg.NTFRC)
-	for i := 0; i < cfg.NTFRC; i++ {
-		c := tfrcCfg
-		c.Seed = seedRNG.Uint64()
-		ss, rs := env.FlowEnv(flowID)
-		snd, _ := tfrc.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, c,
-			cfg.AccessDelay, cfg.RevExtra)
-		tfrcSenders = append(tfrcSenders, snd)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	tcpSenders := make([]*tcp.Sender, 0, cfg.NTCP)
-	for i := 0; i < cfg.NTCP; i++ {
-		ss, rs := env.FlowEnv(flowID)
-		snd, _ := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-			cfg.AccessDelay, cfg.RevExtra)
-		tcpSenders = append(tcpSenders, snd)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
+	spec.route, spec.revRoute = fwd, rev
 	// Opposing-direction flows: data over the reverse chain, ACKs over
 	// the forward bottleneck.
-	backSenders := make([]*tcp.Sender, 0, cfg.BackTCP)
-	for i := 0; i < cfg.BackTCP; i++ {
-		env.SetRoute(flowID, rev...)
-		env.SetReverseRoute(flowID, fwd)
-		ss, rs := env.FlowEnv(flowID)
-		snd, _ := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-			cfg.AccessDelay, cfg.RevExtra)
-		backSenders = append(backSenders, snd)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
+	back := make([][]topology.LinkID, max(cfg.BackTCP, 0))
+	for i := range back {
+		back[i] = rev
 	}
-	if cfg.RevCrossLoad > 0 {
+	spec.groups = []flowGroup{
+		{name: "TFRC", proto: protoTFRC, n: cfg.NTFRC,
+			access: cfg.AccessDelay, revDelay: cfg.RevExtra, tfrc: tc},
+		{name: "TCP", proto: protoTCP, n: cfg.NTCP, access: cfg.AccessDelay, revDelay: cfg.RevExtra},
+		{name: "back TCP", proto: protoTCP, n: cfg.BackTCP, routes: back, rev: fwd,
+			access: cfg.AccessDelay, revDelay: cfg.RevExtra},
+	}
+	// The cross source offers RevCrossLoad of the tightest reverse hop
+	// over the whole chain, bursting at that hop's full rate.
+	if k > 0 {
 		minCap := cfg.RevCapacities[0]
 		for _, c := range cfg.RevCapacities[1:] {
 			minCap = math.Min(minCap, c)
 		}
-		// Size the on/off source so its mean rate offers RevCrossLoad of
-		// the tightest reverse hop: bursts at that hop's full rate, mean
-		// 20 packets, off time solved from the load.
-		const meanBurst, pktSize = 20.0, 1000.0
-		burstBytes := meanBurst * pktSize
-		burstTime := burstBytes / minCap
-		target := cfg.RevCrossLoad * minCap
-		meanOff := burstBytes/target - burstTime
-		if meanOff <= 0 {
-			meanOff = 1e-3
-		}
-		env.AttachSink(flowID, rev...)
-		cs := env.SinkEnv(rev...)
-		ct := netsim.NewCrossTraffic(cs.Sched(), cs, flowID, minCap, meanBurst, 1.5,
-			meanOff, int(pktSize), seedRNG.Uint64())
-		cs.Sched().At(seedRNG.Float64(), ct.Start)
-		flowID++
+		spec.cross = crossDecl{route: rev, load: cfg.RevCrossLoad, peak: minCap, base: minCap}
 	}
 
-	env.Run(cfg.Warmup)
-	resetStats(tfrcSenders)
-	resetStats(tcpSenders)
-	resetStats(backSenders)
-	ob.runMeasured(env.Run, cfg.Warmup, cfg.Warmup+cfg.Duration)
-
-	var res RevSimResult
-	res.TFRCPerFlow = tfrcStats(tfrcSenders)
-	res.TCPPerFlow = tcpStats(tcpSenders)
-	res.TFRC = aggregateTFRC(res.TFRCPerFlow, cfg.L)
-	res.TCP = aggregateTCP(res.TCPPerFlow)
-	res.Back = aggregateTCP(tcpStats(backSenders))
-	// Flow 0 is always a primary flow and all primaries share terminal
-	// delays, so its base RTT represents the class.
-	res.BaseRTT = env.BaseRTT(0)
-	for _, id := range rev {
-		res.RevDrops += env.Link(id).Queue().(*netsim.DropTail).Drops
+	out := spec.run()
+	res := RevSimResult{
+		TFRC: out.groups[0].class, TCP: out.groups[1].class, Back: out.groups[2].class,
+		TFRCPerFlow: out.groups[0].tfrc,
+		TCPPerFlow:  out.groups[1].tcp,
+		// Flow 0 is always a primary flow and all primaries share terminal
+		// delays, so its base RTT represents the class.
+		BaseRTT:     out.baseRTT[0],
+		EventsFired: out.fired,
+		Obs:         out.obs,
+	}
+	for _, l := range out.links[1:] {
+		res.RevDrops += l.queueDrops
 	}
 	// All reverse-chain traffic enters at the first hop, so the packets
 	// offered to the chain are that hop's forwards plus its own drops;
 	// drops at later hops already count among the first hop's forwards.
-	first := env.Link(rev[0])
-	if offered := first.Forwarded + first.Queue().(*netsim.DropTail).Drops; offered > 0 {
+	if offered := out.links[1].forwarded + out.links[1].queueDrops; offered > 0 {
 		res.RevDropRate = float64(res.RevDrops) / float64(offered)
 	}
 	for _, st := range res.TFRCPerFlow {
@@ -256,13 +188,6 @@ func RunRevSim(cfg RevSimConfig) RevSimResult {
 	}
 	if pkts > 0 {
 		res.AcksPerPacket = float64(acks) / float64(pkts)
-	}
-	res.EventsFired = env.Fired()
-	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
-	if LeakCheck {
-		if err := env.CheckLeaks(); err != nil {
-			panic(err)
-		}
 	}
 	return res
 }
@@ -450,13 +375,3 @@ func init() {
 		Plan:    planAsymRev,
 		Sharded: true})
 }
-
-// RevCross, AckShare and AsymRev are the serial convenience wrappers of
-// the routed-reverse scenario family.
-func RevCross(sz Sizing) *Table { return runPlan(planRevCross, sz)[0] }
-
-// AckShare reproduces the shared forward/reverse bottleneck sweep.
-func AckShare(sz Sizing) *Table { return runPlan(planAckShare, sz)[0] }
-
-// AsymRev reproduces the asymmetric-capacity reverse chain sweep.
-func AsymRev(sz Sizing) *Table { return runPlan(planAsymRev, sz)[0] }

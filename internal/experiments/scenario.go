@@ -94,9 +94,10 @@ func ScenarioNames() []string {
 	return names
 }
 
-// runPlan executes a plan serially; the compatibility wrappers
-// (Fig1 ... Claim4) are built on it. Serial execution of deterministic
-// jobs can only fail through a job panic, which is re-raised.
+// runPlan executes a plan serially; the table wrappers (Fig2Summary,
+// Fig3, Fig3Comprehensive, Fig4, Breakdown) and the tests are built on
+// it. Serial execution of deterministic jobs can only fail through a
+// job panic, which is re-raised.
 func runPlan(p PlanFunc, sz Sizing) []*Table {
 	jobs, fold := p(sz)
 	results, err := runner.Serial{}.Execute(context.Background(), jobs)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"repro/internal/des"
 	"repro/internal/estimator"
 	"repro/internal/netsim"
@@ -10,6 +8,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
+	"repro/internal/topology"
 )
 
 // QueueKind selects the bottleneck queue discipline.
@@ -96,154 +95,48 @@ type SimResult struct {
 	Obs *RunObs
 }
 
-// staggeredStart schedules a sender's Start at a seed-drawn offset
-// inside the first half of the warmup (capped at 5 s), breaking phase
-// locking between flows that would otherwise start simultaneously.
-func staggeredStart(sched *des.Scheduler, seedRNG *rng.RNG, warmup float64, start des.Event) {
-	sched.At(seedRNG.Float64()*math.Min(warmup/2, 5), start)
-}
-
-// resetStats restarts every sender's measurement window (warmup ends).
-func resetStats[S interface{ ResetStats() }](senders []S) {
-	for _, s := range senders {
-		s.ResetStats()
-	}
-}
-
-// collectStats gathers each sender's measurement-window summary in
-// attachment order.
-func collectStats[S any, St any](senders []S, stats func(S) St) []St {
-	out := make([]St, 0, len(senders))
-	for _, s := range senders {
-		out = append(out, stats(s))
-	}
-	return out
-}
-
-func tfrcStats(senders []*tfrc.Sender) []tfrc.Stats {
-	return collectStats(senders, (*tfrc.Sender).Stats)
-}
-
-func tcpStats(senders []*tcp.Sender) []tcp.Stats {
-	return collectStats(senders, (*tcp.Sender).Stats)
-}
+// The dumbbell's nodes and its one-link route; the cluster copies
+// both, so every run shares them.
+var (
+	dumbbellNodes = []string{"ingress", "egress"}
+	dumbbellRoute = []topology.LinkID{0}
+)
 
 // RunSim executes the configured dumbbell simulation and returns the
 // per-class aggregates. It is fully deterministic in cfg.Seed.
 func RunSim(cfg SimConfig) SimResult {
-	if cfg.Capacity <= 0 || cfg.Duration <= 0 || cfg.Warmup < 0 || cfg.L < 1 {
-		panic("experiments: invalid sim config")
+	tc := tfrc.DefaultConfig()
+	tc.Window = cfg.L
+	tc.Comprehensive = cfg.Comprehensive
+	tc.HistoryDiscounting = cfg.HistoryDiscounting
+	tc.Formula = cfg.TFRCFormula
+	// The paper's dumbbell: one bottleneck from ingress to egress, flows
+	// on pure-delay reverse paths, cross traffic on a sink flow over the
+	// bottleneck.
+	spec := runSpec{
+		seed: cfg.Seed, warmup: cfg.Warmup, duration: cfg.Duration,
+		nodes: dumbbellNodes,
+		links: []linkDecl{{from: 0, to: 1, rate: cfg.Capacity, delay: cfg.BaseDelay,
+			queue: cfg.Queue, buffer: cfg.Buffer, bdp: cfg.BDPPackets}},
+		route:  dumbbellRoute,
+		jitter: cfg.RevJitter,
+		groups: []flowGroup{
+			{name: "TFRC", proto: protoTFRC, n: cfg.NTFRC, revDelay: cfg.RevDelay, tfrc: tc},
+			{name: "TCP", proto: protoTCP, n: cfg.NTCP, revDelay: cfg.RevDelay},
+		},
+		probe: probeDecl{rate: cfg.ProbeRate, rttGuess: 2*cfg.BaseDelay + cfg.RevDelay,
+			revDelay: cfg.RevDelay},
+		cross: crossDecl{route: dumbbellRoute, load: cfg.CrossLoad,
+			peak: cfg.Capacity / 2, base: cfg.Capacity},
 	}
-	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
-		panic("experiments: need at least one flow")
+	out := spec.run()
+	return SimResult{
+		TFRC: out.groups[0].class, TCP: out.groups[1].class, Poisson: out.probe,
+		TCPPerFlow:  out.groups[1].tcp,
+		TFRCPerFlow: out.groups[0].tfrc,
+		EventsFired: out.fired,
+		Obs:         out.obs,
 	}
-	// The run declares its dumbbell inside a pooled one-domain cluster
-	// (see exec.go): the scheduler's wheels and the packet/flow pools
-	// carry their capacity across replications instead of being
-	// reallocated.
-	env := getCluster()
-	seedRNG := rng.New(cfg.Seed)
-
-	var queue netsim.Queue
-	switch cfg.Queue {
-	case DropTail:
-		if cfg.Buffer < 1 {
-			panic("experiments: DropTail needs a buffer size")
-		}
-		queue = netsim.NewDropTail(cfg.Buffer)
-	case RED:
-		queue = netsim.NewRED(netsim.PaperRED(cfg.BDPPackets), cfg.Capacity, seedRNG.Split())
-	default:
-		panic("experiments: unknown queue kind")
-	}
-	bottleneck := env.Dumbbell(cfg.Capacity, cfg.BaseDelay, queue)
-	if cfg.RevJitter > 0 {
-		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
-	}
-	env.Partition(1)
-	defer putCluster(env, publishLive(env))
-	// Tracer attach precedes endpoint construction: senders and
-	// receivers resolve their domain's tracer once, when built. With
-	// tracing off the tracer stays nil and every hook is a nil-sink.
-	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, 0)
-	net := env.Shard(0)
-	sched := net.Sched()
-
-	tfrcCfg := tfrc.DefaultConfig()
-	tfrcCfg.Window = cfg.L
-	tfrcCfg.Comprehensive = cfg.Comprehensive
-	tfrcCfg.HistoryDiscounting = cfg.HistoryDiscounting
-	tfrcCfg.Formula = cfg.TFRCFormula
-
-	flowID := 0
-	tfrcSenders := make([]*tfrc.Sender, 0, cfg.NTFRC)
-	for i := 0; i < cfg.NTFRC; i++ {
-		c := tfrcCfg
-		c.Seed = seedRNG.Uint64()
-		snd, _ := tfrc.NewFlow(sched, net, flowID, c, 0, cfg.RevDelay)
-		tfrcSenders = append(tfrcSenders, snd)
-		staggeredStart(sched, seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	tcpSenders := make([]*tcp.Sender, 0, cfg.NTCP)
-	for i := 0; i < cfg.NTCP; i++ {
-		snd, _ := tcp.NewFlow(sched, net, flowID, tcp.DefaultConfig(), 0, cfg.RevDelay)
-		tcpSenders = append(tcpSenders, snd)
-		staggeredStart(sched, seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	var probe *probeHandle
-	if cfg.ProbeRate > 0 {
-		rttGuess := 2*cfg.BaseDelay + cfg.RevDelay
-		p := newProbe(sched, net, flowID, cfg.ProbeRate, rttGuess, seedRNG.Uint64(), cfg.RevDelay)
-		probe = p
-		sched.At(seedRNG.Float64(), p.start)
-		flowID++
-	}
-	if cfg.CrossLoad > 0 {
-		// Size the on/off source so its mean rate offers CrossLoad of
-		// the capacity: bursts at half the link rate, mean 20 packets,
-		// off time solved from the load.
-		const meanBurst, pktSize = 20.0, 1000.0
-		peak := cfg.Capacity / 2
-		burstBytes := meanBurst * pktSize
-		burstTime := burstBytes / peak
-		target := cfg.CrossLoad * cfg.Capacity
-		meanOff := burstBytes/target - burstTime
-		if meanOff <= 0 {
-			meanOff = 1e-3
-		}
-		env.AttachSink(flowID, bottleneck)
-		ct := netsim.NewCrossTraffic(sched, net, flowID, peak, meanBurst, 1.5,
-			meanOff, int(pktSize), seedRNG.Uint64())
-		sched.At(seedRNG.Float64(), ct.Start)
-	}
-
-	env.Run(cfg.Warmup)
-	resetStats(tfrcSenders)
-	resetStats(tcpSenders)
-	if probe != nil {
-		probe.resetStats()
-	}
-	ob.runMeasured(env.Run, cfg.Warmup, cfg.Warmup+cfg.Duration)
-
-	var res SimResult
-	res.TFRCPerFlow = tfrcStats(tfrcSenders)
-	res.TCPPerFlow = tcpStats(tcpSenders)
-	res.TFRC = aggregateTFRC(res.TFRCPerFlow, cfg.L)
-	res.TCP = aggregateTCP(res.TCPPerFlow)
-	if probe != nil {
-		res.Poisson = probe.stats()
-	}
-	res.EventsFired = env.Fired()
-	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
-	if LeakCheck {
-		if err := env.CheckLeaks(); err != nil {
-			panic(err)
-		}
-	}
-	return res
 }
 
 func aggregateTFRC(perFlow []tfrc.Stats, L int) ClassStats {

@@ -9,8 +9,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/fault"
 	"repro/internal/formula"
-	"repro/internal/netsim"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
@@ -224,274 +222,105 @@ type TopoSimResult struct {
 	Churn []arrivals.ClassResult
 }
 
-// queueDrops reads a queue discipline's drop counter, when it has one.
-func queueDrops(q netsim.Queue) int64 {
-	switch d := q.(type) {
-	case *netsim.DropTail:
-		return d.Drops
-	case *netsim.RED:
-		return d.Drops
-	}
-	return 0
-}
-
 // RunTopoSim executes the configured multi-hop simulation and returns
 // the per-class aggregates. It is fully deterministic in cfg.Seed.
 func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
-	if cfg.Hops < 1 || cfg.Capacity <= 0 || cfg.Buffer < 1 || cfg.Duration <= 0 ||
-		cfg.Warmup < 0 || cfg.L < 1 {
-		panic("experiments: invalid topo sim config")
+	tc := tfrc.DefaultConfig()
+	tc.Window = cfg.L
+	tc.Comprehensive = cfg.Comprehensive
+	hops := max(cfg.Hops, 0)
+	spec := runSpec{
+		seed: cfg.Seed, warmup: cfg.Warmup, duration: cfg.Duration,
+		shards: cfg.Shards, epochs: cfg.ForceEpochs, jitter: cfg.RevJitter,
+		nodes:  make([]string, hops+1),
+		links:  make([]linkDecl, 0, 2*hops),
+		churn:  make([]arrivals.Class, 0, len(cfg.Churn)),
+		faults: cfg.Faults, watch: cfg.Watch,
+		label: cfg.Label, resume: cfg.Resume,
+		digest: func(shards, epochs int) uint64 { return configDigest(&cfg, shards, epochs) },
 	}
-	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
-		panic("experiments: need at least one long flow")
+	for i := range spec.nodes {
+		spec.nodes[i] = fmt.Sprintf("n%d", i)
 	}
-	// Build the chain inside a pooled cluster (see exec.go), partitioned
-	// into at most cfg.Shards domains — one domain, the serial engine,
-	// for Shards <= 1. Either way wheels, packet pools and flow records
-	// are reused across replications.
-	env := getCluster()
-	seedRNG := rng.New(cfg.Seed)
-
-	nodes := make([]topology.NodeID, cfg.Hops+1)
-	for i := range nodes {
-		nodes[i] = env.AddNode(fmt.Sprintf("n%d", i))
+	// The chain n0 -> ... -> n(Hops) is links 0..Hops-1; the mirrored
+	// reverse chain, last forward node back to the first, is links
+	// Hops..2·Hops-1.
+	chain := make([]topology.LinkID, hops)
+	for i := range chain {
+		chain[i] = topology.LinkID(i)
+		spec.links = append(spec.links, linkDecl{
+			from: topology.NodeID(i), to: topology.NodeID(i + 1),
+			rate: cfg.Capacity, delay: cfg.HopDelay, queue: DropTail, buffer: cfg.Buffer})
 	}
-	route := make([]topology.LinkID, cfg.Hops)
-	for i := 0; i < cfg.Hops; i++ {
-		route[i] = env.AddLink(nodes[i], nodes[i+1], cfg.Capacity, cfg.HopDelay,
-			netsim.NewDropTail(cfg.Buffer))
-	}
-	env.SetDefaultRoute(route...)
-	// The mirrored reverse chain must be declared before Partition
-	// (links materialize on their owning shards there). Its
-	// links get IDs Hops..2·Hops-1, last forward node back to the first.
-	var revRoute []topology.LinkID
+	spec.route = chain
+	var mirror []topology.LinkID
 	if cfg.MirrorRev {
-		revRoute = make([]topology.LinkID, cfg.Hops)
-		for i := 0; i < cfg.Hops; i++ {
-			revRoute[i] = env.AddLink(nodes[cfg.Hops-i], nodes[cfg.Hops-i-1],
-				cfg.Capacity, cfg.HopDelay, netsim.NewUnbounded())
+		mirror = make([]topology.LinkID, hops)
+		for i := range mirror {
+			mirror[i] = topology.LinkID(hops + i)
+			spec.links = append(spec.links, linkDecl{
+				from: topology.NodeID(hops - i), to: topology.NodeID(hops - i - 1),
+				rate: cfg.Capacity, delay: cfg.HopDelay, unbounded: true})
 		}
 	}
-	if cfg.RevJitter > 0 {
-		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
-	}
-	env.Partition(cfg.Shards)
-	defer putCluster(env, publishLive(env))
-	// Tracer attach sits between the partition (shards exist, links are
-	// owned) and both the fault arming and endpoint construction, which
-	// each resolve their domain's tracer once. Cap <= 0 (tracing off)
-	// leaves every tracer nil.
-	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, cfg.ForceEpochs)
-	// Arm the fault plan right after the partition: every timed
-	// transition is scheduled at declaration time, in plan order, on the
-	// scheduler that owns its link — the same (time, arming-key, seq)
-	// order at every shard count. A nil plan arms nothing and consumes
-	// no randomness, so fault-free runs are byte-identical to builds
-	// that predate the fault layer.
-	armed, err := fault.Arm(env, cfg.Faults)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: invalid fault plan: %v", err))
-	}
-
-	spread := func(i, n int) float64 {
-		if cfg.RTTSpread <= 0 || n <= 1 {
-			return 1
-		}
-		return 1 + cfg.RTTSpread*float64(i)/float64(n-1)
-	}
-
-	tfrcCfg := tfrc.DefaultConfig()
-	tfrcCfg.Window = cfg.L
-	tfrcCfg.Comprehensive = cfg.Comprehensive
-
-	end := cfg.Warmup + cfg.Duration
-	flowID := 0
-	tfrcSenders := make([]*tfrc.Sender, 0, cfg.NTFRC)
-	tfrcReceivers := make([]*tfrc.Receiver, 0, cfg.NTFRC)
-	watchers := make([]*rateWatch, 0, cfg.NTFRC)
-	baseRTTs := make([]float64, 0, cfg.NTFRC)
-	for i := 0; i < cfg.NTFRC; i++ {
-		c := tfrcCfg
-		c.Seed = seedRNG.Uint64()
-		k := spread(i, cfg.NTFRC)
-		if cfg.MirrorRev {
-			env.SetReverseRoute(flowID, revRoute...)
-		}
-		ss, rs := env.FlowEnv(flowID)
-		snd, rcv := tfrc.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, c,
-			cfg.AccessDelay*k, cfg.RevDelay*k)
-		tfrcSenders = append(tfrcSenders, snd)
-		tfrcReceivers = append(tfrcReceivers, rcv)
-		baseRTTs = append(baseRTTs, env.BaseRTT(flowID))
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		if cfg.Watch != nil {
-			watchers = append(watchers, newRateWatch(ss.Sched(), snd.Rate, *cfg.Watch, end))
-		}
-		flowID++
-	}
-	tcpSenders := make([]*tcp.Sender, 0, cfg.NTCP)
-	tcpReceivers := make([]*tcp.Receiver, 0, cfg.NTCP)
-	for i := 0; i < cfg.NTCP; i++ {
-		k := spread(i, cfg.NTCP)
-		if cfg.MirrorRev {
-			env.SetReverseRoute(flowID, revRoute...)
-		}
-		ss, rs := env.FlowEnv(flowID)
-		snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-			cfg.AccessDelay*k, cfg.RevDelay*k)
-		tcpSenders = append(tcpSenders, snd)
-		tcpReceivers = append(tcpReceivers, rcv)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	crossSenders := make([]*tcp.Sender, 0, cfg.Hops*cfg.CrossPerHop)
-	crossReceivers := make([]*tcp.Receiver, 0, cfg.Hops*cfg.CrossPerHop)
-	for h := 0; h < cfg.Hops; h++ {
+	// Crossing flows ride one hop each, hop by hop.
+	cross := make([][]topology.LinkID, 0, hops*max(cfg.CrossPerHop, 0))
+	for h := range chain {
 		for i := 0; i < cfg.CrossPerHop; i++ {
-			env.SetRoute(flowID, route[h])
-			ss, rs := env.FlowEnv(flowID)
-			snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-				0, cfg.CrossRevDelay)
-			crossSenders = append(crossSenders, snd)
-			crossReceivers = append(crossReceivers, rcv)
-			staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-			flowID++
+			cross = append(cross, chain[h:h+1])
 		}
 	}
-
-	// Churn classes arm after every static flow (their id block starts at
-	// flowID) and before the first Run: the cluster's flow table must be
-	// sized and its cross-shard pure-delay reverse channels declared
-	// while it is still unsealed.
-	var churn *arrivals.Engine
-	if len(cfg.Churn) > 0 {
-		baseRTT := 2*(float64(cfg.Hops)*cfg.HopDelay+cfg.AccessDelay) + cfg.RevDelay
-		classes := make([]arrivals.Class, len(cfg.Churn))
-		for i, sp := range cfg.Churn {
-			cl := arrivals.Class{Spec: sp}
-			if sp.Reverse {
-				if !cfg.MirrorRev {
-					panic("experiments: reverse churn class needs MirrorRev")
-				}
-				cl.FwdHops = revRoute
-			} else {
-				cl.FwdHops = route
-			}
-			cl.FwdExtra = cfg.AccessDelay
-			cl.RevDelay = cfg.RevDelay
-			switch sp.Proto {
-			case arrivals.TFRC:
-				c := tfrcCfg
-				// Two silent feedback intervals retire a departed
-				// receiver's clock; fresh data re-arms it.
-				c.IdleStop = 2
-				cl.TFRC = c
-			case arrivals.TCP:
-				cl.TCP = tcp.DefaultConfig()
-			case arrivals.CBR:
-				cl.CBRSize = 1000
-				cl.CBRRTT = baseRTT
-			}
-			classes[i] = cl
+	spec.groups = []flowGroup{
+		{name: "TFRC", proto: protoTFRC, n: cfg.NTFRC, rev: mirror,
+			access: cfg.AccessDelay, revDelay: cfg.RevDelay, spread: cfg.RTTSpread, tfrc: tc},
+		{name: "TCP", proto: protoTCP, n: cfg.NTCP, rev: mirror,
+			access: cfg.AccessDelay, revDelay: cfg.RevDelay, spread: cfg.RTTSpread},
+		{name: "crossing TCP", proto: protoTCP, n: hops * cfg.CrossPerHop, routes: cross,
+			revDelay: cfg.CrossRevDelay},
+	}
+	// Churn flows ride the whole forward chain, or the mirrored one for
+	// Reverse classes; their feedback always takes the pure-delay path.
+	baseRTT := 2*(float64(cfg.Hops)*cfg.HopDelay+cfg.AccessDelay) + cfg.RevDelay
+	for _, sp := range cfg.Churn {
+		cl := arrivals.Class{Spec: sp, FwdHops: chain, FwdExtra: cfg.AccessDelay, RevDelay: cfg.RevDelay}
+		if sp.Reverse {
+			cl.FwdHops = mirror
 		}
-		churn = arrivals.NewEngine(env, flowID, classes)
-		lo, count := churn.FlowRange()
-		env.ReserveFlows(lo + count)
-		for _, cl := range classes {
-			env.DeclareReverseChannel(cl.FwdHops, cl.RevDelay)
+		switch sp.Proto {
+		case arrivals.TFRC:
+			cl.TFRC = tc
+			// Two silent feedback intervals retire a departed receiver's
+			// clock; fresh data re-arms it.
+			cl.TFRC.IdleStop = 2
+		case arrivals.TCP:
+			cl.TCP = tcp.DefaultConfig()
+		case arrivals.CBR:
+			cl.CBRSize = 1000
+			cl.CBRRTT = baseRTT
 		}
-		churn.Arm()
+		spec.churn = append(spec.churn, cl)
 	}
 
-	// Checkpoint-off runs take the exact pre-checkpoint path: two Run
-	// calls (plus epoch boundaries), no capture, no extra branches. With
-	// snapshotting or resuming requested the driver below sequences the
-	// same warmup/reset/measure steps around the save and restore hooks.
-	ckptOn := Checkpoint.Every > 0 && Checkpoint.Dir != "" && cfg.Label != ""
-	resuming := cfg.Resume != "" && cfg.Label != ""
-	if ckptOn || resuming {
-		if Observe.TraceCap > 0 {
-			panic("experiments: checkpoint/resume is incompatible with event tracing (-trace): the bounded trace rings are not part of a snapshot")
-		}
-		shards := 1
-		if cfg.Shards > 1 {
-			shards = cfg.Shards
-		}
-		obEpochs := 0
-		if ob != nil {
-			obEpochs = ob.epochs
-		}
-		d := &topoCkpt{
-			cfg: &cfg, env: env, ob: ob, armed: armed, watchers: watchers,
-			end: end, saving: ckptOn, resume: cfg.Resume,
-			digest: configDigest(&cfg, shards, obEpochs),
-		}
-		if churn != nil {
-			d.churn = churn
-		}
-		for i := range tfrcSenders {
-			d.tfrcSnd = append(d.tfrcSnd, tfrcSenders[i])
-			d.tfrcRcv = append(d.tfrcRcv, tfrcReceivers[i])
-		}
-		for i := range tcpSenders {
-			d.tcpSnd = append(d.tcpSnd, tcpSenders[i])
-			d.tcpRcv = append(d.tcpRcv, tcpReceivers[i])
-		}
-		for i := range crossSenders {
-			d.crossSnd = append(d.crossSnd, crossSenders[i])
-			d.crossRcv = append(d.crossRcv, crossReceivers[i])
-		}
-		d.statResetters = []func(){
-			func() { resetStats(tfrcSenders) },
-			func() { resetStats(tcpSenders) },
-			func() { resetStats(crossSenders) },
-		}
-		d.run()
-	} else {
-		env.Run(cfg.Warmup)
-		resetStats(tfrcSenders)
-		resetStats(tcpSenders)
-		resetStats(crossSenders)
-		ob.runMeasured(env.Run, cfg.Warmup, end)
+	out := spec.run()
+	res := TopoSimResult{
+		TFRC: out.groups[0].class, TCP: out.groups[1].class, Cross: out.groups[2].class,
+		TFRCPerFlow: out.groups[0].tfrc,
+		TCPPerFlow:  out.groups[1].tcp,
+		BaseRTT:     out.baseRTT[:len(out.groups[0].tfrc)],
+		EventsFired: out.fired,
+		Recovery:    out.recovery,
+		Obs:         out.obs,
+		Churn:       out.churn,
 	}
-
-	var res TopoSimResult
-	res.TFRCPerFlow = tfrcStats(tfrcSenders)
-	res.TCPPerFlow = tcpStats(tcpSenders)
-	res.TFRC = aggregateTFRC(res.TFRCPerFlow, cfg.L)
-	res.TCP = aggregateTCP(res.TCPPerFlow)
-	res.Cross = aggregateTCP(tcpStats(crossSenders))
-	res.BaseRTT = baseRTTs
-	res.EventsFired = env.Fired()
-	for id := 0; id < env.Links(); id++ {
-		l := env.Link(topology.LinkID(id))
-		if l.Fault != nil || l.FaultDrops > 0 {
-			res.FaultDrops += l.FaultDrops
+	for _, l := range out.links {
+		if l.faulted || l.faultDrops > 0 {
+			res.FaultDrops += l.faultDrops
 			// Accepted, not InFlight: the propagation stage's accounting
 			// moves across the cut under sharding, so only the
 			// executor-invariant part of the pipeline may enter the ratio.
-			res.FaultOffered += l.FaultDrops + l.Accepted() + queueDrops(l.Queue())
+			res.FaultOffered += l.faultDrops + l.accepted + l.queueDrops
 		}
-		if u, ok := l.Queue().(*netsim.Unbounded); ok && u.HighWater > res.UnboundedHighWater {
-			res.UnboundedHighWater = u.HighWater
-		}
-	}
-	if cfg.Watch != nil {
-		res.Recovery = make([]float64, len(watchers))
-		for i, rw := range watchers {
-			res.Recovery[i] = rw.recovery()
-		}
-	}
-	if churn != nil {
-		res.Churn = churn.Results(end)
-	}
-	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
-	if LeakCheck {
-		if err := env.CheckLeaks(); err != nil {
-			panic(err)
-		}
+		res.UnboundedHighWater = max(res.UnboundedHighWater, l.highWater)
 	}
 	return res
 }
@@ -692,13 +521,3 @@ func init() {
 		Plan:    planMultiBneck,
 		Sharded: true})
 }
-
-// ParkingLot, HetRTT and MultiBneck are the serial convenience wrappers
-// of the multi-hop scenario family.
-func ParkingLot(sz Sizing) *Table { return runPlan(planParkingLot, sz)[0] }
-
-// HetRTT reproduces the heterogeneous-RTT competition table.
-func HetRTT(sz Sizing) *Table { return runPlan(planHetRTT, sz)[0] }
-
-// MultiBneck reproduces the multi-bottleneck conservativeness sweep.
-func MultiBneck(sz Sizing) *Table { return runPlan(planMultiBneck, sz)[0] }
