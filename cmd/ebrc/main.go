@@ -12,8 +12,6 @@
 //	ebrc -list
 //	ebrc -run fig5,fig7
 //	ebrc all
-//	ebrc -bench [-benchid N] [-benchout FILE] [-benchrun A,B,...]
-//	ebrc -benchcmp [-benchtol F] [-benchalloctol F] [-benchbytetol F] OLD.json NEW.json
 //
 // Scenarios: fig1 fig2 fig3 fig3c fig4 fig5 fig6 fig7 fig8 fig9 fig10
 // fig11 fig12-15 fig16 fig17 fig18-19 tableI claim3 claim4, the
@@ -65,18 +63,14 @@
 // standard /debug/vars endpoint; that surface is deliberately kept out
 // of the deterministic output.
 //
-// -bench runs the DES/packet hot-path microbenchmarks and records
-// ns/op, allocs/op and events/sec in BENCH_<n>.json, so the simulator's
-// performance trajectory is tracked across PRs; -benchrun restricts it
-// to a comma-separated subset of the suite (like -run for scenarios).
-// -benchcmp compares two such reports and exits non-zero when a
-// benchmark present in both regressed (events/sec down more than
-// -benchtol, default 30%; allocs/op up more than -benchalloctol,
-// default 5%, with zero-allocs baselines staying zero-tolerance; or
-// bytes/op up more than -benchbytetol, default 10%, plus a small
-// absolute slack) — the gate CI runs against the committed baseline.
 // -cpuprofile and -memprofile write pprof profiles of whatever work
-// the invocation did.
+// the invocation did. Performance is measured by the repobench module
+// (see repobench/README.md) and the `go test -bench` bodies in
+// internal/des and internal/experiments, not by this command.
+//
+// Out-of-range values (a -simfactor outside (0, 1], a negative count or
+// duration, a non-positive -tracecap with -trace) exit 2 naming the
+// flag, instead of silently falling back to a default.
 package main
 
 import (
@@ -85,6 +79,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -153,19 +148,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceFile := fs.String("trace", "", "record sim events and write them as Chrome trace_event JSON to this file")
 	traceCap := fs.Int("tracecap", 4096, "per-domain event-ring capacity for -trace (older events overwritten beyond it)")
 	expvarAddr := fs.String("expvar", "", "serve live run introspection (expvar /debug/vars) on this address, e.g. 127.0.0.1:8125")
-	bench := fs.Bool("bench", false, "run the hot-path microbenchmarks and write BENCH_<n>.json")
-	benchID := fs.Int("benchid", 0, "PR id for the -bench file name (0 = scratch BENCH_local.json)")
-	benchOut := fs.String("benchout", "", "explicit output path for -bench (default BENCH_<benchid>.json)")
-	benchRun := fs.String("benchrun", "", "comma-separated benchmark names for -bench (default: the whole suite)")
-	benchCmp := fs.Bool("benchcmp", false, "compare two BENCH json reports (args: OLD NEW); exit 1 on regression")
-	benchTol := fs.Float64("benchtol", 0.30, "events/sec regression fraction -benchcmp tolerates")
-	benchAllocTol := fs.Float64("benchalloctol", 0.05, "allocs/op growth fraction -benchcmp tolerates (0 baselines stay strict)")
-	benchByteTol := fs.Float64("benchbytetol", 0.10, "bytes/op growth fraction -benchcmp tolerates")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: ebrc [flags] <scenario> [...]\n")
-		fmt.Fprintf(stderr, "       ebrc -list | -run <scenario>[,...] | all | -bench | -benchcmp OLD NEW\n\nflags:\n")
+		fmt.Fprintf(stderr, "       ebrc -list | -run <scenario>[,...] | all\n\nflags:\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -173,6 +160,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	// Out-of-range values fail here rather than downstream, where each
+	// would fall back silently: the sizing code ignores a factor outside
+	// (0, 1), a NaN snapshot interval never fires, an empty ring records
+	// nothing.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, c := range []struct {
+		name string
+		bad  bool
+		want string
+	}{
+		{"simfactor", set["simfactor"] && !(*simFactor > 0 && *simFactor <= 1), "in (0, 1]"},
+		{"checkpoint-every", !(*ckptEvery >= 0) || math.IsInf(*ckptEvery, 1), "finite and >= 0"},
+		{"epochs", *epochs < 0, ">= 0"},
+		{"events", *events < 0, ">= 0"},
+		{"workers", *workers < 0, ">= 0"},
+		{"shards", *shards < 0, ">= 0"},
+		{"retries", *retries < 0, ">= 0"},
+		{"deadline", *deadline < 0, ">= 0"},
+		{"tracecap", *traceFile != "" && *traceCap <= 0, "> 0 with -trace"},
+	} {
+		if c.bad {
+			fmt.Fprintf(stderr, "ebrc: -%s %s out of range (want %s)\n", c.name, fs.Lookup(c.name).Value, c.want)
+			return 2
+		}
 	}
 
 	if *cpuProfile != "" {
@@ -203,9 +216,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	// Observability is configured before the bench dispatch on purpose:
-	// `ebrc -bench -metrics` runs the same suite bodies with the capture
-	// enabled, which is how CI bounds the enabled-mode overhead.
 	experiments.Observe = experiments.ObserveOptions{
 		Metrics: *metrics,
 		Epochs:  *epochs,
@@ -236,17 +246,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stderr, "ebrc: live introspection at http://%s/debug/vars\n", addr)
-	}
-
-	if *bench {
-		return runBenchSuite(*benchID, *benchOut, *benchRun, stdout, stderr)
-	}
-	if *benchCmp {
-		if fs.NArg() != 2 {
-			fmt.Fprintf(stderr, "ebrc: -benchcmp needs exactly two report paths (OLD NEW)\n")
-			return 2
-		}
-		return runBenchCmp(fs.Arg(0), fs.Arg(1), *benchTol, *benchAllocTol, *benchByteTol, stdout, stderr)
 	}
 
 	if *list || (fs.NArg() > 0 && fs.Arg(0) == "list") {

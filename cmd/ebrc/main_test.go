@@ -87,57 +87,6 @@ func TestRunShardsFlag(t *testing.T) {
 	}
 }
 
-// The -benchrun filter: unit coverage of the name resolution, plus an
-// end-to-end smoke run of one cheap benchmark.
-func TestSelectBenchmarks(t *testing.T) {
-	all, err := selectBenchmarks("")
-	if err != nil || len(all) != len(benchSuite) {
-		t.Fatalf("empty filter: %v, %d of %d benchmarks", err, len(all), len(benchSuite))
-	}
-	sel, err := selectBenchmarks(" SchedulerDeepQueue8K , SchedulerFire ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 2 || benchSuite[sel[0]].name != "SchedulerFire" ||
-		benchSuite[sel[1]].name != "SchedulerDeepQueue8K" {
-		t.Fatalf("filter selected wrong set: %v", sel)
-	}
-	if _, err := selectBenchmarks("NoSuchBench"); err == nil {
-		t.Fatal("unknown benchmark name not rejected")
-	}
-	if _, err := selectBenchmarks(" , "); err == nil {
-		t.Fatal("blank filter list not rejected")
-	}
-}
-
-func TestBenchRunFilterSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark smoke run skipped in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "bench.json")
-	var stdout, errb bytes.Buffer
-	if code := run([]string{"-bench", "-benchrun", "SchedulerFire", "-benchout", out}, &stdout, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "SchedulerFire" {
-		t.Fatalf("filtered report holds %+v, want exactly SchedulerFire", rep.Benchmarks)
-	}
-	if code := run([]string{"-bench", "-benchrun", "NoSuchBench", "-benchout", out}, &stdout, &errb); code != 2 {
-		t.Fatalf("unknown benchmark name: exit %d", code)
-	}
-	if !strings.Contains(errb.String(), "NoSuchBench") {
-		t.Fatalf("stderr: %s", errb.String())
-	}
-}
-
 // -deadline on a healthy run: the watchdog stays quiet, the output is
 // byte-identical to the plain serial run, exit 0.
 func TestDeadlineQuietOnHealthyRun(t *testing.T) {
@@ -260,5 +209,51 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 	if strings.Contains(plain.String(), "# metrics") || strings.Contains(plain.String(), "# epochs") {
 		t.Fatalf("plain run leaked capture blocks:\n%s", plain.String())
+	}
+}
+
+// Out-of-range flag values exit 2 with a message naming the flag and
+// its value, before any scenario runs or any file is written.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quick", "-simfactor", "2", "fig5"}, "-simfactor 2"},
+		{[]string{"-simfactor", "NaN", "fig1"}, "-simfactor NaN"},
+		{[]string{"-simfactor", "-1", "fig1"}, "-simfactor -1"},
+		{[]string{"-simfactor", "0", "fig1"}, "-simfactor 0"},
+		{[]string{"-checkpoint-every", "NaN", "-checkpoint-dir", dir, "fig1"}, "-checkpoint-every NaN"},
+		{[]string{"-checkpoint-every", "-2", "-checkpoint-dir", dir, "fig1"}, "-checkpoint-every -2"},
+		{[]string{"-checkpoint-every", "Inf", "-checkpoint-dir", dir, "fig1"}, "-checkpoint-every +Inf"},
+		{[]string{"-epochs", "-1", "fig1"}, "-epochs -1"},
+		{[]string{"-events", "-1", "fig1"}, "-events -1"},
+		{[]string{"-workers", "-1", "-parallel", "fig1"}, "-workers -1"},
+		{[]string{"-shards", "-1", "fig1"}, "-shards -1"},
+		{[]string{"-retries", "-1", "fig1"}, "-retries -1"},
+		{[]string{"-deadline", "-1s", "fig1"}, "-deadline -1s"},
+		{[]string{"-tracecap", "0", "-trace", trace, "fig1"}, "-tracecap 0"},
+		{[]string{"-tracecap", "-5", "-trace", trace, "fig1"}, "-tracecap -5"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stderr %q does not name %q", tc.args, errb.String(), tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote output before rejecting: %q", tc.args, out.String())
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("rejected runs left files behind: %v", entries)
+	}
+	// -tracecap is only checked when -trace is set.
+	var out, errb bytes.Buffer
+	if code := run([]string{"-tracecap", "0", "-run", "fig1"}, &out, &errb); code != 0 {
+		t.Fatalf("-tracecap 0 without -trace: exit %d, stderr: %s", code, errb.String())
 	}
 }

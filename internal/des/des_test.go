@@ -399,24 +399,22 @@ func TestQuickClockMonotone(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAlloc pins the tentpole property: a steady
-// schedule/cancel/fire cycle with a preallocated callback performs no
-// per-event allocations once the heap and freelist have warmed up.
+// TestSteadyStateZeroAlloc pins the scheduler's allocation contract: every
+// hot-path cycle (schedulerPatterns: schedule/fire, timer cancel/re-arm,
+// 1K and 8K pending events) with a preallocated callback performs no
+// per-event allocations once the wheel and freelist have warmed up.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	var s Scheduler
-	fn := func() {}
-	var tm Timer
-	work := func() {
-		tm.Cancel()
-		tm = s.After(2, fn)
-		s.After(1, fn)
-		s.Step()
-	}
-	for i := 0; i < 1024; i++ { // warm up
-		work()
-	}
-	if avg := testing.AllocsPerRun(1000, work); avg != 0 {
-		t.Fatalf("steady-state allocs per event cycle = %v, want 0", avg)
+	for _, p := range schedulerPatterns {
+		t.Run(p.name, func(t *testing.T) {
+			var s Scheduler
+			work := p.setup(&s)
+			for i := 0; i < 1024; i++ { // warm up
+				work()
+			}
+			if avg := testing.AllocsPerRun(1000, work); avg != 0 {
+				t.Fatalf("steady-state allocs per event cycle = %v, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -651,15 +649,6 @@ func TestReset(t *testing.T) {
 	if fresh.Fired() != reused.Fired() || fresh.Now() != reused.Now() {
 		t.Fatalf("reused scheduler state (fired=%d now=%v) differs from fresh (fired=%d now=%v)",
 			reused.Fired(), reused.Now(), fresh.Fired(), fresh.Now())
-	}
-}
-
-func BenchmarkScheduleAndFire(b *testing.B) {
-	var s Scheduler
-	fn := func() {}
-	for i := 0; i < b.N; i++ {
-		s.After(1, fn)
-		s.Step()
 	}
 }
 
