@@ -44,6 +44,33 @@ var schedulerPatterns = []struct {
 	{"DeepQueue8K", func(s *Scheduler) func() {
 		return deepQueue(s, 8192, 8)
 	}},
+	// StaggeredStart is a simulation's setup in miniature: one event a
+	// second ahead, then 1024 flow starts at staggered instants before
+	// it, scheduled in scrambled order, then the clock runs through
+	// all of them. One cycle is 1025 events.
+	{"StaggeredStart", func(s *Scheduler) func() {
+		fn := func() {}
+		order := scrambled(1024)
+		return func() {
+			base := s.Now()
+			s.At(base+1, fn)
+			for _, k := range order {
+				s.At(base+float64(k+1)/1025, fn)
+			}
+			s.RunUntil(base + 1)
+		}
+	}},
+}
+
+// scrambled returns a fixed permutation of 0..n-1 that scatters
+// neighbours: a stride coprime to n (7919 is prime and n must not be a
+// multiple of it).
+func scrambled(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i * 7919 % n
+	}
+	return order
 }
 
 // deepQueue primes s with n pending events spaced 1/perSec apart and
@@ -69,7 +96,8 @@ func benchSchedulerPattern(b *testing.B, i int) {
 	}
 }
 
-func BenchmarkSchedulerFire(b *testing.B)        { benchSchedulerPattern(b, 0) }
-func BenchmarkSchedulerTimerChurn(b *testing.B)  { benchSchedulerPattern(b, 1) }
-func BenchmarkSchedulerDeepQueue(b *testing.B)   { benchSchedulerPattern(b, 2) }
-func BenchmarkSchedulerDeepQueue8K(b *testing.B) { benchSchedulerPattern(b, 3) }
+func BenchmarkSchedulerFire(b *testing.B)           { benchSchedulerPattern(b, 0) }
+func BenchmarkSchedulerTimerChurn(b *testing.B)     { benchSchedulerPattern(b, 1) }
+func BenchmarkSchedulerDeepQueue(b *testing.B)      { benchSchedulerPattern(b, 2) }
+func BenchmarkSchedulerDeepQueue8K(b *testing.B)    { benchSchedulerPattern(b, 3) }
+func BenchmarkSchedulerStaggeredStart(b *testing.B) { benchSchedulerPattern(b, 4) }

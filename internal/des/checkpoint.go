@@ -27,26 +27,29 @@ type TimerCapture struct {
 // the scheduler next runs.
 func (s *Scheduler) CaptureTimers() *TimerCapture {
 	c := &TimerCapture{s: s, by: make(map[uint64]checkpoint.TimerState, s.live)}
-	add := func(es []entry) {
-		for _, e := range es {
-			if s.slots[e.slot()].gen != e.gen() {
-				continue
-			}
+	add := func(e entry) {
+		if s.slots[e.slot()].gen == e.gen() {
 			c.by[e.genslot] = checkpoint.TimerState{OK: true, At: e.at, Key: e.key, Seq: e.seq}
 		}
 	}
-	add(s.cur[s.curIdx:])
+	for _, e := range s.cur[s.curIdx:] {
+		add(e)
+	}
 	for l := range s.levels {
 		lv := &s.levels[l]
 		for w, word := range lv.bitmap {
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
-				add(lv.bucket[w<<6+b])
+				for n := lv.head[w<<6+b]; n != 0; n = s.nodes[n-1].next {
+					add(s.nodes[n-1].e)
+				}
 			}
 		}
 	}
-	add(s.overflow)
+	for _, e := range s.overflow {
+		add(e)
+	}
 	return c
 }
 
@@ -71,7 +74,7 @@ func (s *Scheduler) RestoreClock(now float64, seq, fired, cascaded uint64) {
 	if s.live != 0 || s.dead != 0 {
 		panic("des: RestoreClock on a scheduler with pending events")
 	}
-	if now < 0 {
+	if !(now >= 0) { // NaN fails too
 		panic("des: RestoreClock with negative time")
 	}
 	s.now = now
@@ -91,10 +94,10 @@ func (s *Scheduler) RestoreClock(now float64, seq, fired, cascaded uint64) {
 // the original numbering. The saved seq must predate the restored
 // scheduler's next seq.
 func (s *Scheduler) RestoreAt(at, key float64, seq uint64, fn Event) Timer {
-	if at < s.now {
+	if !(at >= s.now) { // NaN fails too
 		panic("des: restoring an event into the past")
 	}
-	if key > at {
+	if !(key <= at) {
 		panic("des: restored origin after firing time")
 	}
 	if seq >= s.seq {

@@ -13,28 +13,40 @@
 // acquire local sequence numbers in the deterministic merge order their
 // bundles are drained in.
 //
-// # Design: hierarchical timing wheel + slot freelist
+// # Design: hierarchical timing wheel over a node slab
 //
 // The event queue is a hierarchical timing wheel (a calendar-queue
 // hybrid): time is discretized into 2^-16 s ticks and pending events
-// live in multi-level wheels of pointer-free slot buckets — level 0
-// spans one tick per bucket, and each higher level spans 256x the
-// previous one, so four levels cover ~18 simulated hours. Events beyond
-// the horizon wait in an overflow level that cascades back into the
-// wheels on rollover. Insertion and deletion are O(1); firing pays a
-// small amortized cascade cost as buckets migrate toward level 0 —
-// unlike a binary or 4-ary heap, no operation degrades with the size of
-// the pending set, which is what lets many-hop, many-flow simulations
-// scale without the event queue becoming the bottleneck.
+// live in multi-level wheels of buckets — level 0 spans one tick per
+// bucket, and each higher level spans 256x the previous one, so four
+// levels cover ~18 simulated hours. Events beyond the horizon wait in an
+// overflow level that cascades back into the wheels on rollover.
+// Insertion and deletion are O(1); firing pays a small amortized cascade
+// cost as buckets migrate toward level 0 — unlike a binary or 4-ary
+// heap, no operation degrades with the size of the pending set, which is
+// what lets many-hop, many-flow simulations scale without the event
+// queue becoming the bottleneck.
 //
-// Determinism is preserved exactly: a bucket is sorted by
-// (time, origin, seq) when the cursor reaches it, and ticks partition
-// the time axis monotonically, so the global firing order is identical
-// to a total (time, origin, seq) priority queue — FIFO within identical
-// timestamps included (an event's origin is its causal scheduling time;
-// see AtOrigin). Per-level occupancy bitmaps let the cursor jump straight to
-// the next non-empty bucket, so sparse queues do not pay for empty
-// ticks.
+// Every bucket is an intrusive FIFO list threaded through one shared,
+// pointer-free node slab, with a free list recycling the nodes that
+// cascades and firings release. A cold scheduler therefore grows one
+// slab to its peak pending count instead of growing each of the 1024
+// buckets separately, and a warm one allocates nothing.
+//
+// Determinism is preserved exactly: a level-0 bucket is sorted by
+// (time, origin, seq) when the cursor reaches it and becomes the
+// working set, and ticks partition the time axis monotonically, so the
+// global firing order is identical to a total (time, origin, seq)
+// priority queue — FIFO within identical timestamps included (an
+// event's origin is its causal scheduling time; see AtOrigin). The
+// cursor only advances when the working set is consumed, to the next
+// occupied bucket found through per-level occupancy bitmaps, so sparse
+// queues do not pay for empty ticks. It never jumps ahead to a newly
+// scheduled event: events scheduled later at earlier times (a
+// simulation's staggered flow starts) wait in the wheel rather than
+// being merged one by one into a sorted working set. Only an event
+// scheduled at or behind the cursor's tick — possible when RunUntil or
+// RunBefore stops between events — is merged into the working set.
 //
 // Callbacks and liveness live in a separate slot table indexed by the
 // entry's slot id and recycled through a freelist, so steady-state
@@ -42,15 +54,16 @@
 // {scheduler, slot, generation}; the slot's generation is bumped when
 // the event fires or is cancelled, so a stale handle to a recycled slot
 // can never cancel (or observe as active) the slot's new occupant.
-// Cancellation is lazy — the bucket entry stays behind and is discarded
+// Cancellation is lazy — the queued entry stays behind and is discarded
 // when it surfaces — but the scheduler compacts the buckets whenever
 // dead entries outnumber live ones, so cancellation-heavy workloads
 // (TFRC no-feedback timers, TCP retransmit timers re-armed on every
 // ACK) keep bounded memory.
 //
-// Reset returns a scheduler to its zero state while keeping every
-// bucket's and table's capacity, so a pooled scheduler can be reused
-// across simulation runs without reallocating (see the cluster pool in
+// Reset returns a scheduler to its zero state while keeping the
+// capacity of the node slab, the working set, the overflow level and
+// the slot table, so a pooled scheduler can be reused across simulation
+// runs without reallocating (see the cluster pool in
 // internal/experiments).
 package des
 
@@ -62,8 +75,9 @@ import (
 // Event is a callback scheduled to run at a simulated time.
 type Event func()
 
-// entry is one pending event in the wheel: pointer-free so that bucket
-// moves copy plain words and never trip GC write barriers.
+// entry is one pending event in the wheel: pointer-free so that the
+// node slab and the working set hold plain words that the GC never
+// scans and moves never trip write barriers.
 //
 // key is the causal scheduling time — the instant the event was brought
 // into existence. At sets it to the scheduler's clock; AtOrigin lets a
@@ -161,10 +175,20 @@ func tickOf(t float64) uint64 {
 }
 
 // level is one wheel: a ring of buckets with an occupancy bitmap so the
-// cursor can jump straight to the next non-empty bucket.
+// cursor can jump straight to the next non-empty bucket. A bucket is a
+// FIFO list threaded through the scheduler's node slab: head and tail
+// hold 1-based node indices, 0 marking an empty bucket.
 type level struct {
-	bucket [levelSlots][]entry
+	head   [levelSlots]int32
+	tail   [levelSlots]int32
 	bitmap [levelWords]uint64
+}
+
+// node is one slab cell: a bucketed entry and the 1-based index of the
+// next node in its bucket (or in the free list), 0 ending the list.
+type node struct {
+	e    entry
+	next int32
 }
 
 // next returns the first occupied bucket index >= from, if any.
@@ -195,7 +219,7 @@ type Scheduler struct {
 	cascaded uint64
 
 	// cur is the working set at the wheel cursor: entries with tick <=
-	// curTick, sorted by (at, seq); cur[curIdx] is the next candidate.
+	// curTick, sorted by (at, key, seq); cur[curIdx] is the next candidate.
 	cur    []entry
 	curIdx int
 	// curTick is the wheel cursor. All bucketed entries have tick >
@@ -204,6 +228,10 @@ type Scheduler struct {
 	curTick  uint64
 	levels   [numLevels]level
 	overflow []entry // events beyond the wheel horizon
+	// nodes is the slab every wheel bucket's list lives in; freeNode
+	// heads the list of recycled nodes (1-based, 0 when empty).
+	nodes    []node
+	freeNode int32
 
 	slots []slot
 	free  []int32 // recycled slot ids, LIFO
@@ -233,8 +261,9 @@ func (s *Scheduler) Pending() int { return s.live }
 
 // Reset returns the scheduler to its zero state — clock at 0, no
 // pending events, all Timer handles inert — while retaining the
-// capacity of every bucket, the slot table and the freelist, so a
-// pooled scheduler runs its next simulation without reallocating.
+// capacity of the node slab, the working set, the slot table and the
+// freelist, so a pooled scheduler runs its next simulation without
+// reallocating.
 func (s *Scheduler) Reset() {
 	s.now, s.seq, s.fired, s.cascaded = 0, 0, 0, 0
 	s.cur = s.cur[:0]
@@ -248,11 +277,13 @@ func (s *Scheduler) Reset() {
 				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
 				j := w<<6 + b
-				lv.bucket[j] = lv.bucket[j][:0]
+				lv.head[j], lv.tail[j] = 0, 0
 			}
 			lv.bitmap[w] = 0
 		}
 	}
+	s.nodes = s.nodes[:0]
+	s.freeNode = 0
 	s.live, s.dead = 0, 0
 	s.free = s.free[:0]
 	for i := range s.slots {
@@ -263,7 +294,7 @@ func (s *Scheduler) Reset() {
 }
 
 // At schedules fn at the absolute simulated time at, which must not be in
-// the past, and returns a cancellable handle.
+// the past or NaN, and returns a cancellable handle.
 func (s *Scheduler) At(at float64, fn Event) Timer {
 	return s.schedule(at, s.now, fn)
 }
@@ -278,14 +309,14 @@ func (s *Scheduler) At(at float64, fn Event) Timer {
 // after every window-local event already drew its sequence number).
 // origin must not exceed at; it may precede the local clock.
 func (s *Scheduler) AtOrigin(at, origin float64, fn Event) Timer {
-	if origin > at {
+	if !(origin <= at) { // NaN fails too
 		panic("des: origin after firing time")
 	}
 	return s.schedule(at, origin, fn)
 }
 
 func (s *Scheduler) schedule(at, key float64, fn Event) Timer {
-	if at < s.now {
+	if !(at >= s.now) { // NaN fails too
 		panic("des: scheduling into the past")
 	}
 	if fn == nil {
@@ -309,7 +340,7 @@ func (s *Scheduler) schedule(at, key float64, fn Event) Timer {
 
 // After schedules fn after delay seconds (delay >= 0).
 func (s *Scheduler) After(delay float64, fn Event) Timer {
-	if delay < 0 {
+	if !(delay >= 0) { // NaN fails too
 		panic("des: negative delay")
 	}
 	return s.At(s.now+delay, fn)
@@ -352,14 +383,6 @@ func (s *Scheduler) insert(e entry) {
 		s.curInsert(e)
 		return
 	}
-	if s.live+s.dead == 1 && s.curIdx == len(s.cur) {
-		// Only event in the queue: jump the cursor straight to it and
-		// skip the wheels — the schedule-one/fire-one pattern pays no
-		// cascade this way.
-		s.curTick = t
-		s.curInsert(e)
-		return
-	}
 	diff := t ^ s.curTick
 	lvl := (bits.Len64(diff) - 1) / levelBits
 	if lvl >= numLevels {
@@ -367,10 +390,37 @@ func (s *Scheduler) insert(e entry) {
 		return
 	}
 	shift := uint(lvl) * levelBits
-	j := int(t>>shift) & levelMask
-	lv := &s.levels[lvl]
-	lv.bucket[j] = append(lv.bucket[j], e)
-	lv.bitmap[j>>6] |= 1 << (uint(j) & 63)
+	s.push(&s.levels[lvl], int(t>>shift)&levelMask, e)
+}
+
+// push appends an entry to the tail of bucket j of lv, taking a node
+// from the free list or growing the slab.
+func (s *Scheduler) push(lv *level, j int, e entry) {
+	n := s.freeNode
+	if n != 0 {
+		s.freeNode = s.nodes[n-1].next
+		s.nodes[n-1] = node{e: e}
+	} else {
+		s.nodes = append(s.nodes, node{e: e})
+		n = int32(len(s.nodes))
+	}
+	if t := lv.tail[j]; t != 0 {
+		s.nodes[t-1].next = n
+	} else {
+		lv.head[j] = n
+		lv.bitmap[j>>6] |= 1 << (uint(j) & 63)
+	}
+	lv.tail[j] = n
+}
+
+// pop returns the entry of node n and the node after it, recycling n
+// onto the free list.
+func (s *Scheduler) pop(n int32) (entry, int32) {
+	nd := &s.nodes[n-1]
+	e, next := nd.e, nd.next
+	nd.next = s.freeNode
+	s.freeNode = n
+	return e, next
 }
 
 // curInsert merges an entry into the sorted working set.
@@ -406,14 +456,14 @@ func (s *Scheduler) curInsert(e entry) {
 }
 
 // takeBucket detaches bucket j of level lvl, clearing its occupancy
-// bit, and returns its entries. The backing array stays with the bucket
-// for reuse.
-func (s *Scheduler) takeBucket(lvl, j int) []entry {
+// bit, and returns the head of its node list; the caller pops every
+// node back onto the free list.
+func (s *Scheduler) takeBucket(lvl, j int) int32 {
 	lv := &s.levels[lvl]
-	b := lv.bucket[j]
-	lv.bucket[j] = b[:0]
+	n := lv.head[j]
+	lv.head[j], lv.tail[j] = 0, 0
 	lv.bitmap[j>>6] &^= 1 << (uint(j) & 63)
-	return b
+	return n
 }
 
 // refill advances the cursor to the next occupied tick and loads its
@@ -438,20 +488,27 @@ func (s *Scheduler) refill() bool {
 			// Jump the cursor to the start of the found bucket's span.
 			below := uint64(1)<<(shift+levelBits) - 1
 			s.curTick = s.curTick&^below | uint64(j)<<shift
-			b := s.takeBucket(lvl, j)
+			n := s.takeBucket(lvl, j)
 			if lvl == 0 {
 				// A level-0 bucket holds exactly the events of tick
 				// curTick: sort once and it becomes the working set.
-				s.cur = append(s.cur, b...)
+				for n != 0 {
+					var e entry
+					e, n = s.pop(n)
+					s.cur = append(s.cur, e)
+				}
 				if len(s.cur) > 1 {
 					sortEntries(s.cur)
 				}
 			} else {
 				// Cascade: re-keyed against the new cursor, each entry
 				// lands at a lower level (or straight in the working
-				// set when its tick is the cursor's).
-				s.cascaded += uint64(len(b))
-				for _, e := range b {
+				// set when its tick is the cursor's). Popping first
+				// lets the insert reuse the node just freed.
+				for n != 0 {
+					var e entry
+					e, n = s.pop(n)
+					s.cascaded++
 					s.insert(e)
 				}
 			}
@@ -536,28 +593,20 @@ func (s *Scheduler) maybeCompact() {
 	if s.dead <= 64 || s.dead <= s.live {
 		return
 	}
-	liveOf := func(es []entry) []entry {
-		w := 0
-		for _, e := range es {
-			if s.slots[e.slot()].gen == e.gen() {
-				es[w] = e
-				w++
-			}
-		}
-		return es[:w]
-	}
+	isLive := func(e entry) bool { return s.slots[e.slot()].gen == e.gen() }
 	// The working set keeps its sorted order (filtering preserves it);
 	// the consumed prefix goes too.
 	w := 0
-	for r := s.curIdx; r < len(s.cur); r++ {
-		e := s.cur[r]
-		if s.slots[e.slot()].gen == e.gen() {
+	for _, e := range s.cur[s.curIdx:] {
+		if isLive(e) {
 			s.cur[w] = e
 			w++
 		}
 	}
 	s.cur = s.cur[:w]
 	s.curIdx = 0
+	// Each bucket list is relinked in order through its live nodes; the
+	// dead ones go back to the free list.
 	for l := range s.levels {
 		lv := &s.levels[l]
 		for wd, word := range lv.bitmap {
@@ -565,14 +614,24 @@ func (s *Scheduler) maybeCompact() {
 				b := bits.TrailingZeros64(word)
 				word &^= 1 << uint(b)
 				j := wd<<6 + b
-				lv.bucket[j] = liveOf(lv.bucket[j])
-				if len(lv.bucket[j]) == 0 {
-					lv.bitmap[wd] &^= 1 << uint(b)
+				n := s.takeBucket(l, j)
+				for n != 0 {
+					var e entry
+					e, n = s.pop(n)
+					if isLive(e) {
+						s.push(lv, j, e)
+					}
 				}
 			}
 		}
 	}
-	s.overflow = liveOf(s.overflow)
+	keep := s.overflow[:0]
+	for _, e := range s.overflow {
+		if isLive(e) {
+			keep = append(keep, e)
+		}
+	}
+	s.overflow = keep
 	s.dead = 0
 }
 
@@ -604,7 +663,7 @@ func (s *Scheduler) Step() bool {
 // RunUntil executes events until the clock would pass the deadline or the
 // queue drains; the clock finishes exactly at the deadline.
 func (s *Scheduler) RunUntil(deadline float64) {
-	if deadline < s.now {
+	if !(deadline >= s.now) { // NaN fails too
 		panic("des: deadline in the past")
 	}
 	for s.nextLive() {
@@ -625,7 +684,7 @@ func (s *Scheduler) RunUntil(deadline float64) {
 // bundles at the barrier, and finishes a phase with RunUntil so the
 // phase boundary itself (inclusive) matches the serial engine's.
 func (s *Scheduler) RunBefore(limit float64) {
-	if limit < s.now {
+	if !(limit >= s.now) { // NaN fails too
 		panic("des: limit in the past")
 	}
 	for s.nextLive() {

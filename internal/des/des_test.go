@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -142,14 +144,24 @@ func TestPendingCountsLiveOnly(t *testing.T) {
 	}
 }
 
+// bucketLen walks bucket j of level l in the node slab and returns its
+// length.
+func bucketLen(s *Scheduler, l, j int) int {
+	n := 0
+	for i := s.levels[l].head[j]; i != 0; i = s.nodes[i-1].next {
+		n++
+	}
+	return n
+}
+
 // storedEntries counts the entries physically buffered anywhere in the
 // scheduler: the working set, every wheel bucket, and the overflow
 // level.
 func storedEntries(s *Scheduler) int {
 	n := len(s.cur) - s.curIdx + len(s.overflow)
 	for l := range s.levels {
-		for j := range s.levels[l].bucket {
-			n += len(s.levels[l].bucket[j])
+		for j := range s.levels[l].head {
+			n += bucketLen(s, l, j)
 		}
 	}
 	return n
@@ -248,8 +260,11 @@ func TestFIFOUnderFreelistReuse(t *testing.T) {
 }
 
 // refEvent mirrors one scheduled event in the naive reference model.
+// key is the causal origin; events scheduled with At may leave it zero,
+// since their seq order already agrees with their origin order.
 type refEvent struct {
 	at   float64
+	key  float64
 	seq  uint64
 	id   int
 	dead bool
@@ -348,6 +363,90 @@ func TestPanics(t *testing.T) {
 	}
 }
 
+// TestNaNTimesPanic checks that a NaN time fails every past-time and
+// origin guard instead of slipping through comparisons that NaN makes
+// false.
+func TestNaNTimesPanic(t *testing.T) {
+	nan := math.NaN()
+	fn := func() {}
+	cases := []struct {
+		name string
+		call func(s *Scheduler)
+	}{
+		{"At", func(s *Scheduler) { s.At(nan, fn) }},
+		{"After", func(s *Scheduler) { s.After(nan, fn) }},
+		{"AtOrigin/origin", func(s *Scheduler) { s.AtOrigin(1, nan, fn) }},
+		{"AtOrigin/at", func(s *Scheduler) { s.AtOrigin(nan, 0, fn) }},
+		{"RunUntil", func(s *Scheduler) { s.RunUntil(nan) }},
+		{"RunBefore", func(s *Scheduler) { s.RunBefore(nan) }},
+		{"RestoreClock", func(s *Scheduler) { s.Reset(); s.RestoreClock(nan, 0, 0, 0) }},
+		{"RestoreAt/at", func(s *Scheduler) { s.RestoreAt(nan, 0, 0, fn) }},
+		{"RestoreAt/key", func(s *Scheduler) { s.RestoreAt(1, nan, 0, fn) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var s Scheduler
+			ran := false
+			s.At(0.5, func() { ran = true })
+			s.At(2, fn) // gives RestoreAt a seq to predate
+			defer func() {
+				if recover() == nil {
+					t.Fatal("NaN accepted")
+				}
+				if ran || math.IsNaN(s.Now()) {
+					t.Fatalf("guard ran too late: fired=%v now=%v", ran, s.Now())
+				}
+			}()
+			c.call(&s)
+		})
+	}
+}
+
+// TestStaggeredStartsWorkingSet pins the cure for the cursor runaway: one
+// event at t = 1 s followed by 10000 events at staggered earlier
+// instants, scheduled in scrambled order (a simulation's setup drawing
+// flow start offsets). The later events must wait in the wheel, so the
+// unconsumed working set never holds more than the events of one tick,
+// and the firing order matches the reference heap.
+func TestStaggeredStartsWorkingSet(t *testing.T) {
+	const n = 10000
+	var s Scheduler
+	ref := &refHeap{}
+	var got []int
+	high := 0
+	watch := func() {
+		if w := len(s.cur) - s.curIdx; w > high {
+			high = w
+		}
+	}
+	perTick := map[uint64]int{}
+	maxPerTick := 0
+	schedule := func(id int, at float64) {
+		s.At(at, func() { got = append(got, id); watch() })
+		ref.push(refEvent{at: at, seq: uint64(id), id: id})
+		perTick[tickOf(at)]++
+		maxPerTick = max(maxPerTick, perTick[tickOf(at)])
+		watch()
+	}
+	schedule(0, 1)
+	for i, k := range scrambled(n) {
+		schedule(i+1, float64(k+1)/(n+1))
+	}
+	s.Run()
+	if high > maxPerTick {
+		t.Fatalf("working set reached %d entries, want <= %d (the most events sharing one tick)",
+			high, maxPerTick)
+	}
+	if len(got) != n+1 {
+		t.Fatalf("fired %d events, want %d", len(got), n+1)
+	}
+	for i, id := range got {
+		if want := ref.pop().id; id != want {
+			t.Fatalf("firing order diverges from the reference heap at %d: got id %d, want %d", i, id, want)
+		}
+	}
+}
+
 // Property: events always fire in non-decreasing time order, regardless
 // of insertion order.
 func TestQuickTimeOrdered(t *testing.T) {
@@ -401,8 +500,9 @@ func TestQuickClockMonotone(t *testing.T) {
 
 // TestSteadyStateZeroAlloc pins the scheduler's allocation contract: every
 // hot-path cycle (schedulerPatterns: schedule/fire, timer cancel/re-arm,
-// 1K and 8K pending events) with a preallocated callback performs no
-// per-event allocations once the wheel and freelist have warmed up.
+// 1K and 8K pending events, staggered starts) with a preallocated
+// callback performs no per-event allocations once the wheel and
+// freelist have warmed up.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, p := range schedulerPatterns {
 		t.Run(p.name, func(t *testing.T) {
@@ -418,8 +518,35 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// refHeap is a naive binary heap ordered by (at, seq) — the reference
-// priority queue the wheel must match event for event.
+// TestColdSchedulerAllocs runs the DeepQueue8K pattern on a fresh
+// scheduler, with no Reset reuse: every table grows from empty to its
+// peak, so the count is the cold-start cost. Growing a handful of
+// slices by doubling to the ~8K pending events costs O(log pending)
+// allocations (46 measured with Go 1.24 on amd64; the bound is 4 per
+// doubling); per-bucket storage would pay that per occupied bucket
+// (1237).
+func TestColdSchedulerAllocs(t *testing.T) {
+	var setup func(*Scheduler) func()
+	for _, p := range schedulerPatterns {
+		if p.name == "DeepQueue8K" {
+			setup = p.setup
+		}
+	}
+	allocs := testing.AllocsPerRun(4, func() {
+		s := new(Scheduler)
+		work := setup(s)
+		for i := 0; i < 8192; i++ {
+			work()
+		}
+	})
+	if limit := float64(4 * bits.Len(8192)); allocs > limit {
+		t.Fatalf("cold DeepQueue8K run: %v allocs, want <= %v (O(log pending))", allocs, limit)
+	}
+	t.Logf("cold DeepQueue8K run: %v allocs", allocs)
+}
+
+// refHeap is a naive binary heap ordered by (at, key, seq) — the
+// reference priority queue the wheel must match event for event.
 type refHeap struct {
 	es []refEvent
 }
@@ -463,6 +590,9 @@ func (h *refHeap) pop() refEvent {
 func refBefore(a, b refEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
+	}
+	if a.key != b.key {
+		return a.key < b.key
 	}
 	return a.seq < b.seq
 }
@@ -684,9 +814,9 @@ func TestResetOverflowEdge(t *testing.T) {
 				t.Fatalf("level %d bitmap word %d = %#x after Reset", l, w, word)
 			}
 		}
-		for j := range lv.bucket {
-			if len(lv.bucket[j]) != 0 {
-				t.Fatalf("level %d bucket %d holds %d entries after Reset", l, j, len(lv.bucket[j]))
+		for j := range lv.head {
+			if n := bucketLen(&s, l, j); n != 0 || lv.tail[j] != 0 {
+				t.Fatalf("level %d bucket %d holds %d entries (tail %d) after Reset", l, j, n, lv.tail[j])
 			}
 		}
 	}

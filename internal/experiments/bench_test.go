@@ -115,6 +115,18 @@ func shardedChainConfig(shards int) TopoSimConfig {
 	}
 }
 
+// staggeredStartChainConfig is the deep chain's 152 flows with a 10 s
+// warmup and a 1 s measured window. Flow starts spread over the first
+// 5 simulated seconds (half the warmup, capped at 5 s), so most of the
+// run is the startup phase: start events scheduled in seed order at
+// scattered instants while the pending set fills.
+func staggeredStartChainConfig() TopoSimConfig {
+	cfg := deepChainBenchConfig()
+	cfg.Warmup = 10
+	cfg.Duration = 1
+	return cfg
+}
+
 // faultyChainConfig is the 8-hop fault-family chain under a combined
 // plan: a flush-policy outage of the mid-chain bottleneck, a
 // Gilbert–Elliott bursty loss process on the first hop and a mid-run
@@ -256,6 +268,14 @@ func BenchmarkCheckpointedChainSteadyState(b *testing.B) {
 
 func BenchmarkDeepChainSteadyState(b *testing.B) {
 	cfg := deepChainBenchConfig()
+	benchSim(b, func() uint64 { return RunTopoSim(cfg).EventsFired })
+}
+
+// BenchmarkStaggeredStartChain is the startup-heavy chain: against
+// BenchmarkDeepChainSteadyState it weights the scheduler's handling of
+// events scheduled behind already-pending later ones.
+func BenchmarkStaggeredStartChain(b *testing.B) {
+	cfg := staggeredStartChainConfig()
 	benchSim(b, func() uint64 { return RunTopoSim(cfg).EventsFired })
 }
 

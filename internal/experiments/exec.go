@@ -16,7 +16,7 @@ var shardForceParallel bool
 // clusterPool recycles the network engine across runs. runSpec.run
 // (behind RunSim, RunTopoSim and RunRevSim) draws a cluster, declares
 // the run's graph in it, and returns it: the shards' schedulers (wheel
-// buckets, slot tables), packet and delivery pools, flow records and
+// node slabs, slot tables), packet and delivery pools, flow records and
 // bundle buffers survive Reset, so a replication pays for its protocol
 // state only, not for the simulator substrate. Under the runner's
 // worker pool the clusters are recycled per worker (sync.Pool is
