@@ -92,6 +92,12 @@ func (c *Config) validate() {
 	if c.Events <= 0 {
 		panic("core: config needs a positive event count")
 	}
+	if c.Warmup < 0 {
+		panic(fmt.Sprintf("core: config Warmup %d is negative", c.Warmup))
+	}
+	if c.IntegrationPanels < 0 {
+		panic(fmt.Sprintf("core: config IntegrationPanels %d is negative", c.IntegrationPanels))
+	}
 	if c.Warmup == 0 {
 		c.Warmup = 10 * len(c.Weights)
 	}
@@ -178,7 +184,7 @@ func (c comprehensiveDuration) interval(est *estimator.LossIntervalEstimator, f 
 	// f(1/θ̂(t)) with θ̂(t) = w1·θ(t) + W_n. Substituting
 	// y = w1·θ + W_n turns the time integral into (1/w1)∫ g(y) dy from
 	// θ̂_n to θ̂_{n+1}.
-	w1 := est.Weights()[0]
+	w1 := est.FirstWeight()
 	hatN := est.Estimate()
 	hatNext := hatN + w1*(theta-thetaStar)
 	g := formula.G(f)

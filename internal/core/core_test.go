@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -407,6 +408,39 @@ func TestConfigPanics(t *testing.T) {
 				}
 			}()
 			fn()
+		}()
+	}
+}
+
+// A negative Warmup or IntegrationPanels is rejected by name instead of
+// shortening the measured run or failing deep inside the quadrature.
+func TestConfigRejectsNegativeCounts(t *testing.T) {
+	t.Parallel()
+	f := formula.NewPFTKSimplified(formula.DefaultParams())
+	cfg := func(warmup, panels int) Config {
+		c := basicCfg(f, 8, lossmodel.NewGeometric(0.1, rng.New(1)), 100)
+		c.Warmup, c.IntegrationPanels = warmup, panels
+		return c
+	}
+	for _, tc := range []struct {
+		name, want string
+		run        func()
+	}{
+		{"basic warmup", "Warmup -40", func() { RunBasic(cfg(-40, 0)) }},
+		{"comprehensive warmup", "Warmup -1", func() { RunComprehensive(cfg(-1, 0)) }},
+		{"audio warmup", "Warmup -5", func() { RunFixedPacketRate(cfg(-5, 0), 0.01) }},
+		{"prop1 warmup", "Warmup -2", func() { DecomposeProp1(cfg(-2, 0)) }},
+		{"basic panels", "IntegrationPanels -1", func() { RunBasic(cfg(0, -1)) }},
+		{"comprehensive panels", "IntegrationPanels -64", func() { RunComprehensive(cfg(0, -64)) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "core: ") || !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want a core: panic naming %q", tc.name, msg, tc.want)
+				}
+			}()
+			tc.run()
 		}()
 	}
 }

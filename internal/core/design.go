@@ -25,7 +25,7 @@ type FormulaReport struct {
 	Prop4ArgMax float64
 	// ConcaveAbove is the smallest grid x above which f(1/x) is concave
 	// (condition (F2): the "safe" rare-loss region of Theorem 2);
-	// +Inf if nowhere on the range.
+	// RangeHi if nowhere on the range.
 	ConcaveAbove float64
 	// ConvexBelow is the largest grid x below which f(1/x) is strictly
 	// convex (condition (F2c): the non-conservative heavy-loss region);
@@ -50,24 +50,22 @@ func AnalyzeFormula(f formula.Formula, xlo, xhi float64, n int) FormulaReport {
 	rep.GConvexEverywhere = numerics.IsConvexOnGrid(formula.G(f), grid, 1e-9)
 	rep.Prop4Ratio, rep.Prop4ArgMax = formula.DeviationFromConvexity(f, xlo, xhi, n)
 
-	// Find the concave-above threshold: the smallest x such that f(1/x)
-	// is concave on [x, xhi]. Bisection over grid indices using the
-	// monotone structure of the PFTK-family inflection (a single sign
-	// change); for general f this is a conservative scan.
-	fx := formula.F1x(f)
+	// f(1/x) is concave on grid[i:] exactly when i >= lastNonConcave,
+	// and strictly convex on grid[:i+1] exactly when i <= firstNonConvex
+	// (any i if there is no break). A region must span more than 16
+	// grid points to count.
+	lastNonConcave, firstNonConvex := numerics.ShapeBreaks(formula.F1x(f), grid, 1e-9)
 	rep.ConcaveAbove = rep.RangeHi
-	for i := 0; i+16 < len(grid); i++ {
-		if numerics.IsConcaveOnGrid(fx, grid[i:], 1e-9) {
-			rep.ConcaveAbove = grid[i]
-			break
-		}
+	if i := max(lastNonConcave, 0); i+16 < len(grid) {
+		rep.ConcaveAbove = grid[i]
 	}
 	rep.ConvexBelow = 0
-	for i := len(grid) - 1; i >= 16; i-- {
-		if numerics.IsConvexOnGrid(fx, grid[:i+1], 1e-9) {
-			rep.ConvexBelow = grid[i]
-			break
-		}
+	i := len(grid) - 1
+	if firstNonConvex >= 0 {
+		i = firstNonConvex
+	}
+	if i >= 16 {
+		rep.ConvexBelow = grid[i]
 	}
 	return rep
 }

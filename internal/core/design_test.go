@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/formula"
+	"repro/internal/numerics"
 )
 
 func TestAnalyzeSQRT(t *testing.T) {
@@ -96,5 +97,55 @@ func TestAnalyzePanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// shapeThresholdsByScans is AnalyzeFormula's former quadratic search,
+// kept as the reference for its single pass: the smallest grid point
+// above which f(1/x) is concave and the largest below which it is
+// strictly convex, each found by re-checking a whole grid suffix or
+// prefix per candidate.
+func shapeThresholdsByScans(f formula.Formula, grid []float64, rangeHi float64) (concaveAbove, convexBelow float64) {
+	fx := formula.F1x(f)
+	concaveAbove = rangeHi
+	for i := 0; i+16 < len(grid); i++ {
+		if numerics.IsConcaveOnGrid(fx, grid[i:], 1e-9) {
+			concaveAbove = grid[i]
+			break
+		}
+	}
+	for i := len(grid) - 1; i >= 16; i-- {
+		if numerics.IsConvexOnGrid(fx, grid[:i+1], 1e-9) {
+			convexBelow = grid[i]
+			break
+		}
+	}
+	return concaveAbove, convexBelow
+}
+
+// TestAnalyzeShapeMatchesScans checks AnalyzeFormula's thresholds
+// against the reference scans, bit for bit, for the three formulae
+// under several path parameters, on ranges that put the inflection of
+// f(1/x) inside, near either end of and outside the grid.
+func TestAnalyzeShapeMatchesScans(t *testing.T) {
+	t.Parallel()
+	check := func(f formula.Formula, lo, hi float64, n int) {
+		rep := AnalyzeFormula(f, lo, hi, n)
+		above, below := shapeThresholdsByScans(f, numerics.Grid(lo, hi, n), hi)
+		if rep.ConcaveAbove != above || rep.ConvexBelow != below {
+			t.Errorf("%s %+v on [%v, %v], n=%d: concave above %v, convex below %v; scans give %v, %v",
+				f.Name(), f.Params(), lo, hi, n, rep.ConcaveAbove, rep.ConvexBelow, above, below)
+		}
+	}
+	ranges := [][2]float64{{1.01, 100}, {1.01, 4}, {3, 100}, {1.01, 2}, {20, 1000}}
+	for _, pp := range []formula.Params{formula.DefaultParams(), formula.ParamsForRTT(0.1), {R: 1, Q: 4, B: 1}} {
+		for _, f := range formula.All(pp) {
+			for _, r := range ranges {
+				for _, n := range []int{16, 17, 18, 33, 100, 300} {
+					check(f, r[0], r[1], n)
+				}
+			}
+			check(f, 1.01, 100, 2000)
+		}
 	}
 }

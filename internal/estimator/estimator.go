@@ -119,6 +119,11 @@ func (e *LossIntervalEstimator) Weights() []float64 {
 	return append([]float64(nil), e.weights...)
 }
 
+// FirstWeight returns the normalized weight w1 of the most recent
+// interval, without the copy Weights makes: the comprehensive control
+// reads it once per interval that crosses the open-interval threshold.
+func (e *LossIntervalEstimator) FirstWeight() float64 { return e.weights[0] }
+
 // Observe records a closed loss-event interval θ_n (in packets) and
 // shifts the history. It panics on non-positive intervals.
 func (e *LossIntervalEstimator) Observe(theta float64) {

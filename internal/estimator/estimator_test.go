@@ -192,6 +192,9 @@ func TestCustomWeightsNormalized(t *testing.T) {
 	if math.Abs(w[0]-0.25) > 1e-12 || math.Abs(w[2]-0.5) > 1e-12 {
 		t.Fatalf("weights = %v", w)
 	}
+	if e.FirstWeight() != w[0] {
+		t.Fatalf("first weight = %v, want %v", e.FirstWeight(), w[0])
+	}
 	if e.Window() != 3 {
 		t.Fatalf("window = %d", e.Window())
 	}

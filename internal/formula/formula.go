@@ -10,6 +10,12 @@
 // with b the number of packets acknowledged per ACK (typically 2), r the
 // mean round-trip time in seconds and q the retransmission timeout value
 // (recommended q = 4r). Rates are in packets per second.
+//
+// Rate is the analytic core's per-event cost: the Monte Carlo controls
+// of package core call it once or more per loss interval. PFTK-simplified
+// therefore derives p^{3/2} and p^{7/2} from one Exp/Log pair instead of
+// two math.Pow calls, with results equal to math.Pow's bit for bit, so
+// every pinned output digest is unchanged.
 package formula
 
 import (
@@ -119,8 +125,31 @@ func NewPFTKSimplified(p Params) PFTKSimplified { return PFTKSimplified{P: p} }
 // Rate implements Formula.
 func (f PFTKSimplified) Rate(p float64) float64 {
 	checkP(p)
-	den := f.P.C1()*f.P.R*math.Sqrt(p) + f.P.Q*f.P.C2()*(math.Pow(p, 1.5)+32*math.Pow(p, 3.5))
+	p15, p35 := pow15and35(p)
+	den := f.P.C1()*f.P.R*math.Sqrt(p) + f.P.Q*f.P.C2()*(p15+32*p35)
 	return 1 / den
+}
+
+// pow15and35 returns exactly math.Pow(p, 1.5) and math.Pow(p, 3.5) for
+// finite p > 0, sharing the one Exp/Log pair both calls would compute.
+// It replays pow's own steps: x^y = Exp(yf·Log(x)) · x^yi for the
+// fractional part yf = 0.5 and the integer part yi, with x^yi built
+// from Frexp's mantissa by repeated squaring and applied by Ldexp. The
+// roundings are the same as pow's, so the results are bit-identical;
+// p*math.Sqrt(p) is not (it differs in the last bit for about a fifth
+// of p in (0, 1)), and TestPowersMatchMathPow guards the equality.
+func pow15and35(p float64) (p15, p35 float64) {
+	s := math.Exp(0.5 * math.Log(p))
+	m, e := math.Frexp(p)
+	// Square the mantissa once (yi = 3 = 0b11 takes m and m²),
+	// renormalising into [0.5, 1) as pow does.
+	m2, e2 := m*m, 2*e
+	if m2 < .5 {
+		m2 += m2
+		e2--
+	}
+	sm := s * m
+	return math.Ldexp(sm, e), math.Ldexp(sm*m2, e+e2)
 }
 
 // Name implements Formula.

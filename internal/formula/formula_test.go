@@ -253,3 +253,28 @@ func TestQuickGIsReciprocal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+var rateSink float64
+
+// BenchmarkRate times one Rate call per formula at loss-event rates
+// spread over the range the Monte Carlo controls visit.
+func BenchmarkRate(b *testing.B) {
+	ps := make([]float64, 1024)
+	for i := range ps {
+		ps[i] = 1 / (1 + 1000*float64(i)/float64(len(ps)))
+	}
+	pp := DefaultParams()
+	for _, c := range []struct {
+		name string
+		f    Formula
+	}{{"SQRT", NewSQRT(pp)}, {"PFTKStandard", NewPFTKStandard(pp)}, {"PFTKSimplified", NewPFTKSimplified(pp)}} {
+		f := c.f
+		b.Run(c.name, func(b *testing.B) {
+			s := 0.0
+			for i := 0; i < b.N; i++ {
+				s += f.Rate(ps[i%len(ps)])
+			}
+			rateSink = s
+		})
+	}
+}

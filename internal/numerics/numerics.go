@@ -163,16 +163,26 @@ func DeviationFromConvexity(g Func, grid []float64) (ratio, argmax float64) {
 // by the local magnitude. A true result on a fine grid is strong evidence
 // of convexity on the interval.
 func IsConvexOnGrid(f Func, grid []float64, tol float64) bool {
-	return secondDifferencesHaveSign(f, grid, tol, +1)
+	_, firstNonConvex := ShapeBreaks(f, grid, tol)
+	return firstNonConvex < 0
 }
 
 // IsConcaveOnGrid reports whether f has non-positive discrete second
 // differences at every interior grid point, within tolerance.
 func IsConcaveOnGrid(f Func, grid []float64, tol float64) bool {
-	return secondDifferencesHaveSign(f, grid, tol, -1)
+	lastNonConcave, _ := ShapeBreaks(f, grid, tol)
+	return lastNonConcave < 0
 }
 
-func secondDifferencesHaveSign(f Func, grid []float64, tol float64, sign int) bool {
+// ShapeBreaks evaluates f once per grid point and returns the index of
+// the last interior point whose second difference breaks concavity and
+// of the first whose second difference breaks convexity, by the test and
+// tolerance of IsConcaveOnGrid and IsConvexOnGrid; either is -1 if there
+// is no such point. The second difference at i depends only on
+// grid[i-1..i+1], so f passes IsConcaveOnGrid on grid[k:] exactly when
+// k >= lastNonConcave, and IsConvexOnGrid on grid[:k+1] exactly when
+// firstNonConvex < 0 or k <= firstNonConvex.
+func ShapeBreaks(f Func, grid []float64, tol float64) (lastNonConcave, firstNonConvex int) {
 	if len(grid) < 3 {
 		panic("numerics: convexity check needs >= 3 grid points")
 	}
@@ -180,24 +190,21 @@ func secondDifferencesHaveSign(f Func, grid []float64, tol float64, sign int) bo
 	for i, x := range grid {
 		ys[i] = f(x)
 	}
+	lastNonConcave, firstNonConvex = -1, -1
 	for i := 1; i+1 < len(grid); i++ {
 		h1 := grid[i] - grid[i-1]
 		h2 := grid[i+1] - grid[i]
 		// Divided-difference second derivative estimate.
 		d2 := 2 * (ys[i-1]/(h1*(h1+h2)) - ys[i]/(h1*h2) + ys[i+1]/(h2*(h1+h2)))
-		scale := math.Max(1, math.Abs(ys[i]))
-		switch sign {
-		case +1:
-			if d2 < -tol*scale {
-				return false
-			}
-		case -1:
-			if d2 > tol*scale {
-				return false
-			}
+		bound := tol * math.Max(1, math.Abs(ys[i]))
+		if d2 > bound {
+			lastNonConcave = i
+		}
+		if d2 < -bound && firstNonConvex < 0 {
+			firstNonConvex = i
 		}
 	}
-	return true
+	return lastNonConcave, firstNonConvex
 }
 
 // ErrNoBracket is returned by Brent when f(a) and f(b) have the same sign.
