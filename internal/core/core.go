@@ -8,11 +8,26 @@
 // (package lossmodel); this is exactly the paper's setting for the
 // conservativeness question, which studies the source in isolation under
 // a given loss process.
+//
+// Only the estimator is a recurrence: given θ_n and θ̂_n (and the
+// threshold θ*_n of the comprehensive control), each rate X_n and
+// duration S_n can be computed on its own (Proposition 1, eq. 4). A run
+// therefore has three phases. A sequential trace draws the loss
+// intervals, advances the estimator and records θ_n, θ̂_n and θ*_n;
+// the rates and durations are then evaluated over contiguous index
+// ranges on up to GOMAXPROCS goroutines, each range writing only its
+// own slots; and a fold sums the statistics in event order. Every float
+// operation and summation order is that of a single sequential loop, so
+// results are bit-identical on any number of CPUs. The per-event
+// buffers are pooled and reused across runs.
 package core
 
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/estimator"
 	"repro/internal/formula"
@@ -142,55 +157,74 @@ func RunComprehensive(cfg Config) Result {
 // Theorem 2 governs the outcome.
 func RunFixedPacketRate(cfg Config, packetSpacing float64) Result {
 	cfg.validate()
-	if packetSpacing <= 0 {
-		panic("core: non-positive packet spacing")
+	if !(packetSpacing > 0) || math.IsInf(packetSpacing, 1) {
+		panic(fmt.Sprintf("core: packet spacing %v is not positive and finite", packetSpacing))
 	}
 	return run(cfg, audioDuration{spacing: packetSpacing})
 }
 
 // durationModel computes, for one loss interval, the interval duration
-// S_n in seconds and the volume ∫X dt sent over it in the units of X,
-// given the estimator state before the interval, the interval length θ_n
-// in packets and the rate X_n at the interval start.
-//
-// For the basic and comprehensive controls X is a packet rate, so the
-// volume equals θ_n exactly. For the audio scenario X is a byte rate
-// decoupled from the fixed packet rate, so the volume is X_n·S_n.
+// S_n in seconds from the estimator state recorded before the interval,
+// the interval length θ_n in packets and the rate X_n at the interval
+// start. interval runs concurrently over disjoint events, so it must be
+// a pure function of its arguments.
 type durationModel interface {
-	interval(est *estimator.LossIntervalEstimator, f formula.Formula, theta, rate float64) (duration, volume float64)
+	interval(f formula.Formula, st estState, theta, rate float64) (duration float64)
+	// usesThreshold reports whether interval reads st.thetaStar, so
+	// the trace records it.
+	usesThreshold() bool
+	// byteRate reports whether X is a byte rate decoupled from the
+	// packet count, as in the audio scenario, so that the volume ∫X dt
+	// sent over an interval is X_n·S_n. Otherwise X is a packet rate
+	// and the volume equals θ_n exactly.
+	byteRate() bool
 }
+
+// estState is the estimator state an interval starts from, as the trace
+// recorded it: θ̂_n, the open-interval threshold θ*_n (recorded only
+// for models whose usesThreshold is true) and the first normalized
+// weight w1.
+type estState struct{ hat, thetaStar, w1 float64 }
 
 type basicDuration struct{}
 
-func (basicDuration) interval(_ *estimator.LossIntervalEstimator, _ formula.Formula, theta, rate float64) (float64, float64) {
-	return theta / rate, theta
+func (basicDuration) interval(_ formula.Formula, _ estState, theta, rate float64) float64 {
+	return theta / rate
 }
+
+func (basicDuration) usesThreshold() bool { return false }
+
+func (basicDuration) byteRate() bool { return false }
 
 type audioDuration struct{ spacing float64 }
 
-func (a audioDuration) interval(_ *estimator.LossIntervalEstimator, _ formula.Formula, theta, rate float64) (float64, float64) {
-	d := theta * a.spacing
-	return d, rate * d
+func (a audioDuration) interval(_ formula.Formula, _ estState, theta, _ float64) float64 {
+	return theta * a.spacing
 }
+
+func (audioDuration) usesThreshold() bool { return false }
+
+func (audioDuration) byteRate() bool { return true }
 
 type comprehensiveDuration struct{ panels int }
 
-func (c comprehensiveDuration) interval(est *estimator.LossIntervalEstimator, f formula.Formula, theta, rate float64) (float64, float64) {
-	thetaStar := est.OpenThreshold()
-	if theta <= thetaStar {
-		return theta / rate, theta
+func (c comprehensiveDuration) interval(f formula.Formula, st estState, theta, rate float64) float64 {
+	if theta <= st.thetaStar {
+		return theta / rate
 	}
 	// Constant-rate phase up to the threshold, then the rate follows
 	// f(1/θ̂(t)) with θ̂(t) = w1·θ(t) + W_n. Substituting
 	// y = w1·θ + W_n turns the time integral into (1/w1)∫ g(y) dy from
 	// θ̂_n to θ̂_{n+1}.
-	w1 := est.FirstWeight()
-	hatN := est.Estimate()
-	hatNext := hatN + w1*(theta-thetaStar)
+	hatNext := st.hat + st.w1*(theta-st.thetaStar)
 	g := formula.G(f)
-	tail := numerics.Trapezoid(g, hatN, hatNext, c.panels) / w1
-	return thetaStar/rate + tail, theta
+	tail := numerics.Trapezoid(g, st.hat, hatNext, c.panels) / st.w1
+	return st.thetaStar/rate + tail
 }
+
+func (comprehensiveDuration) usesThreshold() bool { return true }
+
+func (comprehensiveDuration) byteRate() bool { return false }
 
 // IntervalDurationProp3 returns S_n by the closed form of Proposition 3,
 // valid when f is SQRT or PFTK-simplified:
@@ -229,49 +263,213 @@ func IntervalDurationProp3(f formula.Formula, w1, hatN, hatNext, theta float64) 
 	return base - vn, nil
 }
 
+// minChunk is the longest run whose evaluation stays on the caller's
+// goroutine; a longer run is split into at most ⌈n/minChunk⌉ contiguous
+// index ranges of about equal length. A goroutine costs about a
+// microsecond to start, against tens of nanoseconds per event.
+const minChunk = 1024
+
+// rangesPerProc caps the ranges of a split evaluation per GOMAXPROCS.
+// More ranges than goroutines let one that starts late or runs on a
+// slower CPU claim fewer of them.
+const rangesPerProc = 4
+
+// runBuffers holds one run's per-event samples, indexed by measured
+// event: the trace's θ_n, θ̂_n and θ*_n, and the evaluation's X_n and
+// S_n. It is pooled, so the buffers keep their capacity across runs.
+type runBuffers struct {
+	theta, hat, star, rate, dur []float64
+	// w1 is the estimator's first normalized weight.
+	w1 float64
+
+	// The current run's evaluation: the formula and duration model,
+	// the number of index ranges, the next range to claim and the
+	// panic, if any, each range raised.
+	f      formula.Formula
+	dm     durationModel
+	parts  int
+	next   atomic.Int64
+	panics []any
+	wg     sync.WaitGroup
+	// work evaluates ranges on a helper goroutine. It is bound once
+	// per buffer set, so starting a helper allocates nothing.
+	work func()
+}
+
+var runPool = sync.Pool{New: func() any {
+	b := new(runBuffers)
+	b.work = func() {
+		defer b.wg.Done()
+		b.drain()
+	}
+	return b
+}}
+
+// run simulates a control in three phases: a sequential trace of the
+// loss intervals and the estimator, the per-event rates and durations
+// evaluated across GOMAXPROCS goroutines, and an in-order fold into the
+// long-run statistics. Every sum is taken in event order, so the result
+// is bit-identical on any number of CPUs.
 func run(cfg Config, dm durationModel) Result {
+	b := runPool.Get().(*runBuffers)
+	defer runPool.Put(b)
+	b.trace(cfg, dm.usesThreshold())
+	b.evaluate(cfg.Formula, dm)
+	return b.fold(cfg.Formula, dm)
+}
+
+// grow returns s resliced to length n, reallocated only when its
+// capacity is short.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// trace draws the loss intervals and advances the estimator, the only
+// recurrence of the controls: for every measured event it records θ_n,
+// θ̂_n and, when threshold is set, θ*_n. Warmup events only advance
+// the estimator.
+func (b *runBuffers) trace(cfg Config, threshold bool) {
 	est := estimator.NewLossIntervalEstimator(cfg.Weights)
-	// Fill the estimator window before measuring.
-	for i := 0; i < len(cfg.Weights); i++ {
+	// Fill the estimator window, then run the warmup.
+	for i := 0; i < len(cfg.Weights)+cfg.Warmup; i++ {
 		est.Observe(cfg.Process.Next())
 	}
-	var (
-		sumVolume, sumS float64
-		thetas          = make([]float64, 0, cfg.Events)
-		hats            = make([]float64, 0, cfg.Events)
-		rates           = make([]float64, 0, cfg.Events)
-		durations       = make([]float64, 0, cfg.Events)
-	)
-	total := cfg.Warmup + cfg.Events
-	for n := 0; n < total; n++ {
-		hat := est.Estimate()
-		rate := cfg.Formula.Rate(1 / hat)
-		theta := cfg.Process.Next()
-		s, vol := dm.interval(est, cfg.Formula, theta, rate)
-		if n >= cfg.Warmup {
-			sumVolume += vol
-			sumS += s
-			thetas = append(thetas, theta)
-			hats = append(hats, hat)
-			rates = append(rates, rate)
-			durations = append(durations, s)
-		}
-		est.Observe(theta)
+	n := cfg.Events
+	b.theta, b.hat, b.star = grow(b.theta, n), grow(b.hat, n), b.star[:0]
+	if threshold {
+		b.star = grow(b.star, n)
 	}
-	meanTheta := stats.Mean(thetas)
+	b.w1 = est.FirstWeight()
+	for i := 0; i < n; i++ {
+		b.hat[i] = est.Estimate()
+		if threshold {
+			b.star[i] = est.OpenThreshold()
+		}
+		b.theta[i] = cfg.Process.Next()
+		est.Observe(b.theta[i])
+	}
+}
+
+// evaluate fills X_n = f(1/θ̂_n) and S_n for every measured event. Runs
+// longer than minChunk are split into contiguous ranges that the
+// caller and GOMAXPROCS−1 helper goroutines claim in turn; each range
+// writes only its own slots. A panic in any range is re-raised on the
+// caller once all ranges are done, the lowest range's first, which is
+// the panic a sequential evaluation would have raised.
+func (b *runBuffers) evaluate(f formula.Formula, dm durationModel) {
+	n := len(b.theta)
+	b.rate, b.dur = grow(b.rate, n), grow(b.dur, n)
+	b.f, b.dm = f, dm
+	procs := runtime.GOMAXPROCS(0)
+	parts := min(rangesPerProc*procs, (n+minChunk-1)/minChunk)
+	if procs == 1 || parts <= 1 {
+		b.evalRange(0, n)
+		return
+	}
+	b.parts = parts
+	b.next.Store(0)
+	if cap(b.panics) < parts {
+		b.panics = make([]any, parts)
+	}
+	b.panics = b.panics[:parts]
+	clear(b.panics)
+	helpers := min(procs, parts) - 1
+	b.wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go b.work()
+	}
+	b.drain()
+	b.wg.Wait()
+	for _, p := range b.panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// drain evaluates unclaimed ranges until none is left.
+func (b *runBuffers) drain() {
+	for {
+		k := int(b.next.Add(1)) - 1
+		if k >= b.parts {
+			return
+		}
+		b.evalPart(k)
+	}
+}
+
+// evalPart evaluates range k of b.parts, recording its panic.
+func (b *runBuffers) evalPart(k int) {
+	defer func() {
+		if r := recover(); r != nil {
+			b.panics[k] = r
+		}
+	}()
+	n := len(b.theta)
+	b.evalRange(k*n/b.parts, (k+1)*n/b.parts)
+}
+
+// evalRange fills X and S for the events lo to hi−1.
+func (b *runBuffers) evalRange(lo, hi int) {
+	f, dm := b.f, b.dm
+	st := estState{w1: b.w1}
+	for i := lo; i < hi; i++ {
+		st.hat = b.hat[i]
+		if len(b.star) > 0 {
+			st.thetaStar = b.star[i]
+		}
+		rate := f.Rate(1 / st.hat)
+		b.rate[i] = rate
+		b.dur[i] = dm.interval(f, st, b.theta[i], rate)
+	}
+}
+
+// fold computes the long-run statistics in two passes over the events:
+// the sums, then the deviations from the means. Each accumulator adds
+// in event order, exactly as stats.Mean, stats.Covariance and stats.CV
+// would, so the bits match the per-statistic functions.
+func (b *runBuffers) fold(f formula.Formula, dm durationModel) Result {
+	var sumTheta, sumHat, sumRate, sumS float64
+	for i, theta := range b.theta {
+		sumTheta += theta
+		sumHat += b.hat[i]
+		sumRate += b.rate[i]
+		sumS += b.dur[i]
+	}
+	// A packet-rate control sends θ_n packets per interval, so its
+	// volume sum is the θ sum.
+	sumVolume := sumTheta
+	if dm.byteRate() {
+		sumVolume = 0
+		for i, x := range b.rate {
+			sumVolume += x * b.dur[i]
+		}
+	}
+	n := float64(len(b.theta))
+	meanTheta, meanHat, meanRate, meanS := sumTheta/n, sumHat/n, sumRate/n, sumS/n
+	var covThetaHat, covXS, varHat float64
+	for i, theta := range b.theta {
+		dh := b.hat[i] - meanHat
+		covThetaHat += (theta - meanTheta) * dh
+		covXS += (b.rate[i] - meanRate) * (b.dur[i] - meanS)
+		varHat += dh * dh
+	}
+	covThetaHat /= n
 	p := 1 / meanTheta
-	fp := cfg.Formula.Rate(p)
-	cov := stats.Covariance(thetas, hats)
+	fp := f.Rate(p)
 	res := Result{
 		Throughput:        sumVolume / sumS,
 		LossEventRate:     p,
 		FormulaRate:       fp,
-		CovThetaHat:       cov,
-		CovThetaHatNorm:   cov * p * p,
-		CovXS:             stats.Covariance(rates, durations),
-		CVEstimator:       stats.CV(hats),
-		MeanInterLossTime: stats.Mean(durations),
-		Events:            len(thetas),
+		CovThetaHat:       covThetaHat,
+		CovThetaHatNorm:   covThetaHat * p * p,
+		CovXS:             covXS / n,
+		CVEstimator:       math.Sqrt(varHat/n) / meanHat,
+		MeanInterLossTime: meanS,
+		Events:            len(b.theta),
 	}
 	res.Normalized = res.Throughput / fp
 	res.CVEstimatorSq = res.CVEstimator * res.CVEstimator

@@ -174,9 +174,9 @@ func TestProp3MatchesQuadrature(t *testing.T) {
 			theta := r.ShiftedExp(1, 0.2)
 			hatN := est.Estimate()
 			rate := f.Rate(1 / hatN)
-			numeric, _ := cd.interval(est, f, theta, rate)
 			w1 := est.Weights()[0]
 			thetaStar := est.OpenThreshold()
+			numeric := cd.interval(f, estState{hat: hatN, thetaStar: thetaStar, w1: w1}, theta, rate)
 			hatNext := hatN
 			if theta > thetaStar {
 				hatNext = hatN + w1*(theta-thetaStar)
@@ -441,6 +441,33 @@ func TestConfigRejectsNegativeCounts(t *testing.T) {
 				}
 			}()
 			tc.run()
+		}()
+	}
+}
+
+// A packet spacing that is not positive and finite is rejected by a panic
+// naming it, instead of a run whose normalized throughput is NaN.
+func TestFixedPacketRateRejectsSpacing(t *testing.T) {
+	t.Parallel()
+	f := formula.NewPFTKSimplified(formula.DefaultParams())
+	for _, tc := range []struct {
+		spacing float64
+		want    string
+	}{
+		{math.NaN(), "spacing NaN"},
+		{math.Inf(1), "spacing +Inf"},
+		{math.Inf(-1), "spacing -Inf"},
+		{0, "spacing 0"},
+		{-0.02, "spacing -0.02"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "core: ") || !strings.Contains(msg, tc.want) {
+					t.Errorf("spacing %v: panic %q, want a core: panic naming %q", tc.spacing, msg, tc.want)
+				}
+			}()
+			RunFixedPacketRate(basicCfg(f, 4, lossmodel.NewGeometric(0.1, rng.New(1)), 100), tc.spacing)
 		}()
 	}
 }

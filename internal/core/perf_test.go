@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/estimator"
@@ -21,14 +23,55 @@ func fig3Config(events int) Config {
 }
 
 // TestComprehensiveAllocsFlat requires RunComprehensive to make the same
-// number of allocations at every run length: the per-run sample slices
-// are sized up front, and nothing on the per-interval path allocates.
+// number of allocations at every run length: the per-event samples live
+// in pooled buffers, and nothing on the per-interval path allocates.
 func TestComprehensiveAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomizes sync.Pool reuse")
+	}
 	short := testing.AllocsPerRun(3, func() { RunComprehensive(fig3Config(1000)) })
 	long := testing.AllocsPerRun(3, func() { RunComprehensive(fig3Config(4000)) })
 	if short != long {
 		t.Fatalf("RunComprehensive allocations grow with run length: %v at 1000 events, %v at 4000", short, long)
 	}
+}
+
+// TestRunBytesFlat requires a run to allocate the same heap bytes at
+// every length once the pooled buffers have grown to it: nothing is
+// sized by the event count but the buffers, which are reused. The
+// slack covers a helper goroutine's descriptor (448 bytes), which the
+// runtime allocates when the spawning P has no free one; a per-event
+// buffer would differ by 16000 × 8 bytes.
+func TestRunBytesFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomizes sync.Pool reuse")
+	}
+	for _, c := range []struct {
+		name string
+		run  func(Config) Result
+	}{{"basic", RunBasic}, {"comprehensive", RunComprehensive}} {
+		c.run(fig3Config(20000))
+		short := heapBytes(func() { c.run(fig3Config(4000)) })
+		long := heapBytes(func() { c.run(fig3Config(20000)) })
+		if d := long - short; d < -4096 || d > 4096 {
+			t.Errorf("%s: %d bytes at 4000 events, %d at 20000", c.name, short, long)
+		}
+	}
+}
+
+// heapBytes returns the fewest heap bytes fn allocated over three calls:
+// a garbage collection that empties the pool between calls can only add
+// bytes.
+func heapBytes(fn func()) int64 {
+	least := int64(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, int64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return least
 }
 
 var resultSink Result

@@ -6,7 +6,10 @@
 // standard EWMA round-trip-time estimator.
 package estimator
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TFRCWeights returns TFRC's weight vector of length L, normalized to sum
 // to 1: w_l = 1 for l <= L/2, then decreasing linearly
@@ -85,8 +88,9 @@ type LossIntervalEstimator struct {
 }
 
 // NewLossIntervalEstimator builds an estimator with the given weights
-// (most-recent-first). The weights must be positive; they are normalized
-// to sum to 1 so the estimator satisfies the unbiasedness condition (E).
+// (most-recent-first). The weights must be positive and finite, and so
+// must their sum; they are normalized to sum to 1 so the estimator
+// satisfies the unbiasedness condition (E).
 func NewLossIntervalEstimator(weights []float64) *LossIntervalEstimator {
 	if len(weights) == 0 {
 		panic("estimator: empty weight vector")
@@ -94,11 +98,14 @@ func NewLossIntervalEstimator(weights []float64) *LossIntervalEstimator {
 	w := make([]float64, len(weights))
 	sum := 0.0
 	for i, v := range weights {
-		if v <= 0 {
-			panic(fmt.Sprintf("estimator: non-positive weight %v at %d", v, i))
+		if !(v > 0) || math.IsInf(v, 1) {
+			panic(fmt.Sprintf("estimator: weight %v at %d is not positive and finite", v, i))
 		}
 		w[i] = v
 		sum += v
+	}
+	if math.IsInf(sum, 1) {
+		panic(fmt.Sprintf("estimator: weights %v sum to %v", weights, sum))
 	}
 	for i := range w {
 		w[i] /= sum

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -248,6 +249,33 @@ func TestPanics(t *testing.T) {
 				}
 			}()
 			fn()
+		}()
+	}
+}
+
+// Weights that are not positive and finite, or that overflow their sum,
+// are rejected up front by a panic naming the value, instead of turning
+// every estimate into NaN.
+func TestRejectsNonFiniteWeights(t *testing.T) {
+	for _, tc := range []struct {
+		weights []float64
+		want    string
+	}{
+		{[]float64{1, math.NaN()}, "weight NaN at 1"},
+		{[]float64{math.Inf(1), 1}, "weight +Inf at 0"},
+		{[]float64{1, math.Inf(-1)}, "weight -Inf at 1"},
+		{[]float64{0, 1}, "weight 0 at 0"},
+		{[]float64{1, -2}, "weight -2 at 1"},
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, "sum to +Inf"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "estimator: ") || !strings.Contains(msg, tc.want) {
+					t.Errorf("weights %v: panic %q, want one naming %q", tc.weights, msg, tc.want)
+				}
+			}()
+			NewLossIntervalEstimator(tc.weights)
 		}()
 	}
 }

@@ -62,7 +62,9 @@ func (p Params) Validate() error {
 // f: loss-event rate p in (0, 1] -> send rate in packets/second.
 type Formula interface {
 	// Rate returns f(p). Implementations must be positive and
-	// non-increasing on (0, 1].
+	// non-increasing on (0, 1]. Rate must also be pure and safe for
+	// concurrent calls: the Monte Carlo controls of package core call
+	// it from several goroutines at once.
 	Rate(p float64) float64
 	// Name identifies the formula in experiment output.
 	Name() string
