@@ -15,11 +15,13 @@
 // therefore has three phases. A sequential trace draws the loss
 // intervals, advances the estimator and records θ_n, θ̂_n and θ*_n;
 // the rates and durations are then evaluated over contiguous index
-// ranges on up to GOMAXPROCS goroutines, each range writing only its
-// own slots; and a fold sums the statistics in event order. Every float
-// operation and summation order is that of a single sequential loop, so
-// results are bit-identical on any number of CPUs. The per-event
-// buffers are pooled and reused across runs.
+// ranges, one per goroutine on up to GOMAXPROCS goroutines, each range
+// writing only its own slots; and a fold sums the statistics in event
+// order. Every float operation and summation order is that of a single
+// sequential loop, so results are bit-identical on any number of CPUs.
+// The split shortens a run only while other CPUs are idle; when every
+// CPU is busy it only adds the cost of starting the helpers. The
+// per-event buffers are kept on a free list and reused across runs.
 package core
 
 import (
@@ -27,7 +29,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/estimator"
 	"repro/internal/formula"
@@ -264,46 +265,70 @@ func IntervalDurationProp3(f formula.Formula, w1, hatN, hatNext, theta float64) 
 }
 
 // minChunk is the longest run whose evaluation stays on the caller's
-// goroutine; a longer run is split into at most ⌈n/minChunk⌉ contiguous
-// index ranges of about equal length. A goroutine costs about a
-// microsecond to start, against tens of nanoseconds per event.
+// goroutine; a longer run is split into min(GOMAXPROCS, ⌈n/minChunk⌉)
+// contiguous index ranges of about equal length, one per goroutine. A
+// goroutine costs about a microsecond to start, against tens of
+// nanoseconds per event.
 const minChunk = 1024
-
-// rangesPerProc caps the ranges of a split evaluation per GOMAXPROCS.
-// More ranges than goroutines let one that starts late or runs on a
-// slower CPU claim fewer of them.
-const rangesPerProc = 4
 
 // runBuffers holds one run's per-event samples, indexed by measured
 // event: the trace's θ_n, θ̂_n and θ*_n, and the evaluation's X_n and
-// S_n. It is pooled, so the buffers keep their capacity across runs.
+// S_n. Finished runs return it to a free list, so the buffers keep
+// their capacity across runs.
 type runBuffers struct {
 	theta, hat, star, rate, dur []float64
 	// w1 is the estimator's first normalized weight.
 	w1 float64
 
 	// The current run's evaluation: the formula and duration model,
-	// the number of index ranges, the next range to claim and the
-	// panic, if any, each range raised.
+	// the number of index ranges and the panic, if any, each range
+	// raised.
 	f      formula.Formula
 	dm     durationModel
 	parts  int
-	next   atomic.Int64
 	panics []any
 	wg     sync.WaitGroup
-	// work evaluates ranges on a helper goroutine. It is bound once
-	// per buffer set, so starting a helper allocates nothing.
-	work func()
+	// helpers[k] evaluates range k on a helper goroutine. Each is
+	// bound once per buffer set, so starting a helper allocates
+	// nothing.
+	helpers []func()
 }
 
-var runPool = sync.Pool{New: func() any {
-	b := new(runBuffers)
-	b.work = func() {
-		defer b.wg.Done()
-		b.drain()
+// freeBuffers holds the buffer sets of finished runs. It keeps at most
+// GOMAXPROCS of them, about as many as there are concurrent runs, so
+// what it holds is bounded by the runs' own peak use; a set keeps the
+// capacity of the longest run it served (40 bytes per event) until the
+// process exits. Unlike a sync.Pool, it keeps its sets across garbage
+// collections and reuses them in the same way in race-detector builds.
+var freeBuffers struct {
+	sync.Mutex
+	sets []*runBuffers
+}
+
+// getBuffers takes a buffer set from the free list, or a new one.
+func getBuffers() *runBuffers {
+	freeBuffers.Lock()
+	defer freeBuffers.Unlock()
+	n := len(freeBuffers.sets)
+	if n == 0 {
+		return new(runBuffers)
 	}
+	b := freeBuffers.sets[n-1]
+	freeBuffers.sets[n-1] = nil
+	freeBuffers.sets = freeBuffers.sets[:n-1]
 	return b
-}}
+}
+
+// putBuffers returns b to the free list unless the list is full.
+func putBuffers(b *runBuffers) {
+	b.f, b.dm = nil, nil
+	clear(b.panics)
+	freeBuffers.Lock()
+	defer freeBuffers.Unlock()
+	if len(freeBuffers.sets) < runtime.GOMAXPROCS(0) {
+		freeBuffers.sets = append(freeBuffers.sets, b)
+	}
+}
 
 // run simulates a control in three phases: a sequential trace of the
 // loss intervals and the estimator, the per-event rates and durations
@@ -311,8 +336,8 @@ var runPool = sync.Pool{New: func() any {
 // long-run statistics. Every sum is taken in event order, so the result
 // is bit-identical on any number of CPUs.
 func run(cfg Config, dm durationModel) Result {
-	b := runPool.Get().(*runBuffers)
-	defer runPool.Put(b)
+	b := getBuffers()
+	defer putBuffers(b)
 	b.trace(cfg, dm.usesThreshold())
 	b.evaluate(cfg.Formula, dm)
 	return b.fold(cfg.Formula, dm)
@@ -353,51 +378,40 @@ func (b *runBuffers) trace(cfg Config, threshold bool) {
 	}
 }
 
-// evaluate fills X_n = f(1/θ̂_n) and S_n for every measured event. Runs
-// longer than minChunk are split into contiguous ranges that the
-// caller and GOMAXPROCS−1 helper goroutines claim in turn; each range
-// writes only its own slots. A panic in any range is re-raised on the
-// caller once all ranges are done, the lowest range's first, which is
-// the panic a sequential evaluation would have raised.
+// evaluate fills X_n = f(1/θ̂_n) and S_n for every measured event,
+// over min(GOMAXPROCS, ⌈n/minChunk⌉) contiguous index ranges: the
+// caller evaluates the first and one helper goroutine each of the
+// others, and each range writes only its own slots. A run of at most
+// minChunk events, or any run at GOMAXPROCS 1, is one range and starts
+// no helper. A panic in any range is re-raised on the caller once all
+// ranges are done, the lowest range's first, which is the panic a
+// sequential evaluation would have raised.
 func (b *runBuffers) evaluate(f formula.Formula, dm durationModel) {
 	n := len(b.theta)
 	b.rate, b.dur = grow(b.rate, n), grow(b.dur, n)
 	b.f, b.dm = f, dm
-	procs := runtime.GOMAXPROCS(0)
-	parts := min(rangesPerProc*procs, (n+minChunk-1)/minChunk)
-	if procs == 1 || parts <= 1 {
-		b.evalRange(0, n)
-		return
+	b.parts = min(runtime.GOMAXPROCS(0), (n+minChunk-1)/minChunk)
+	if cap(b.panics) < b.parts {
+		b.panics = make([]any, b.parts)
 	}
-	b.parts = parts
-	b.next.Store(0)
-	if cap(b.panics) < parts {
-		b.panics = make([]any, parts)
-	}
-	b.panics = b.panics[:parts]
+	b.panics = b.panics[:b.parts]
 	clear(b.panics)
-	helpers := min(procs, parts) - 1
-	b.wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		go b.work()
+	for k := len(b.helpers); k < b.parts; k++ {
+		b.helpers = append(b.helpers, func() {
+			defer b.wg.Done()
+			b.evalPart(k)
+		})
 	}
-	b.drain()
+	b.wg.Add(b.parts - 1)
+	for k := 1; k < b.parts; k++ {
+		go b.helpers[k]()
+	}
+	b.evalPart(0)
 	b.wg.Wait()
 	for _, p := range b.panics {
 		if p != nil {
 			panic(p)
 		}
-	}
-}
-
-// drain evaluates unclaimed ranges until none is left.
-func (b *runBuffers) drain() {
-	for {
-		k := int(b.next.Add(1)) - 1
-		if k >= b.parts {
-			return
-		}
-		b.evalPart(k)
 	}
 }
 

@@ -26,9 +26,6 @@ func fig3Config(events int) Config {
 // number of allocations at every run length: the per-event samples live
 // in pooled buffers, and nothing on the per-interval path allocates.
 func TestComprehensiveAllocsFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector randomizes sync.Pool reuse")
-	}
 	short := testing.AllocsPerRun(3, func() { RunComprehensive(fig3Config(1000)) })
 	long := testing.AllocsPerRun(3, func() { RunComprehensive(fig3Config(4000)) })
 	if short != long {
@@ -43,9 +40,6 @@ func TestComprehensiveAllocsFlat(t *testing.T) {
 // runtime allocates when the spawning P has no free one; a per-event
 // buffer would differ by 16000 × 8 bytes.
 func TestRunBytesFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector randomizes sync.Pool reuse")
-	}
 	for _, c := range []struct {
 		name string
 		run  func(Config) Result

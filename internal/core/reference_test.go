@@ -154,7 +154,7 @@ func TestEvaluateWritesEverySlot(t *testing.T) {
 		cfg := basicCfg(f, 8, lossmodel.DesignShiftedExp(0.2, 0.9, rng.New(3)), events)
 		cfg.validate()
 		for _, procs := range []int{1, 2, 3} {
-			b := runPool.New().(*runBuffers)
+			b := new(runBuffers)
 			b.trace(cfg, true)
 			b.rate, b.dur = make([]float64, events), make([]float64, events)
 			for i := range b.rate {
